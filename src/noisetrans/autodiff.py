@@ -368,9 +368,10 @@ def _reduce_extreme(x, axis, reducer, arg_reducer, name) -> Tensor:
     if x.shape[axis] < 1:
         raise ArgumentError(f"{name}: axis {axis} is empty in shape {x.shape}")
     out = Tensor(reducer(x.data, axis=axis))
-    arg = arg_reducer(x.data, axis=axis)
 
     def bw(g):
+        # the argument is only needed when a tape replays this op
+        arg = arg_reducer(x.data, axis=axis)
         gx = np.zeros_like(x.data)
         np.put_along_axis(
             gx, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis

@@ -352,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    dtype = ad.default_dtype()  # --precision switches it for this call only
     try:
         return args.func(args)
     except ArgumentError as exc:
@@ -372,6 +373,8 @@ def main(argv=None) -> int:
     except NoiseTransError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        ad.set_default_dtype(dtype)
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ and a residual densely-connected output head.
 
 The network maps an (N, 3) patch in its local unit-sphere frame to (N, 3)
 denoised coordinates with row i of the output corresponding to row i of the
-input. With the final head projection at zero the whole network is exactly
-the identity.
+input. Several patches run as one forward when stacked row-wise with their
+block-diagonal graphs (see build_graphs). With the final head projection at
+zero the whole network is exactly the identity.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ArgumentError, ContractError, FormatError, NumericError
-from .spatial import KdTree
+from .spatial import patch_knn
 
 ENCODING_MODES = ("sparse", "coordinate", "none")
 
@@ -260,23 +261,51 @@ def load_weights(path, expect_config: ModelConfig | None = None) -> ModelWeights
 # ---------------------------------------------------------------------------
 
 def build_graphs(coords: np.ndarray, cfg: ModelConfig) -> dict:
-    """Exclude-self KNN graphs reused by every layer of one forward pass."""
-    coords = np.asarray(coords, dtype=np.float64)
-    n = len(coords)
+    """Exclude-self KNN graphs reused by every layer of one forward pass.
+
+    `coords` is one (N, 3) patch or a (B, N, 3) stack of patches. One
+    k_max query per patch gives every ("knn", k) scale and the "sparse"
+    graph as column prefixes. Indices address rows of the stacked (B*N, 3)
+    block, patch b's offset by b*N, so a stack's graphs are one
+    block-diagonal graph; "patch_size" records N.
+    """
+    pts = np.asarray(coords, dtype=np.float64)
+    if pts.ndim == 2:
+        pts = pts[None]
+    if pts.ndim != 3 or pts.shape[2] != 3:
+        raise ArgumentError(f"coords must be (N, 3) or (B, N, 3), got {np.shape(coords)}")
+    b, n, _ = pts.shape
     if n < cfg.min_points:
         raise ArgumentError(
             f"patch has {n} points but the model needs at least {cfg.min_points} "
             f"(raise the patch size above max(k_scales)={max(cfg.k_scales)})"
         )
-    tree = KdTree(coords)
-    graphs: dict = {}
-    for k in set(cfg.k_scales):
-        idx, _ = tree.query(coords, k, exclude_self=True)
-        graphs[("knn", k)] = idx
+    k_max = cfg.min_points - 1
+    idx, d2 = patch_knn(pts, k_max)
+    idx = (idx + n * np.arange(b)[:, None, None]).reshape(b * n, k_max)
+    d2 = d2.reshape(b * n, k_max)
+    graphs: dict = {"patch_size": n}
+    for k in cfg.k_scales:
+        graphs[("knn", k)] = idx[:, :k]
     if cfg.encoding_mode == "sparse":
-        idx, d2 = tree.query(coords, cfg.sparse_k, exclude_self=True)
-        graphs["sparse"] = (idx, d2)
+        graphs["sparse"] = (idx[:, :cfg.sparse_k], d2[:, :cfg.sparse_k])
     return graphs
+
+
+def repeat_graphs(graphs: dict, copies: int) -> dict:
+    """The graphs of `copies` stacked repeats of the block `graphs` was built
+    on, such as the same patches under several rotations: KNN graphs do not
+    change when a patch is rotated."""
+
+    def tile(idx):
+        return np.concatenate([idx + r * len(idx) for r in range(copies)])
+
+    out = {key: tile(val) for key, val in graphs.items() if isinstance(key, tuple)}
+    out["patch_size"] = graphs["patch_size"]
+    if "sparse" in graphs:
+        idx, d2 = graphs["sparse"]
+        out["sparse"] = (tile(idx), np.tile(d2, (copies, 1)))
+    return out
 
 
 def feature_layer(feats: Tensor, neighbors: np.ndarray, weights: ModelWeights,
@@ -340,32 +369,36 @@ def sparse_encoding(coords_np: np.ndarray, graphs: dict, weights: ModelWeights) 
 
 
 def _multihead_attention(h: Tensor, weights: ModelWeights, prefix: str,
-                         cfg: ModelConfig) -> Tensor:
-    n, d = h.shape
+                         cfg: ModelConfig, patch_size: int) -> Tensor:
+    """Attention within each patch of the stacked (B*N, d) rows."""
+    rows, d = h.shape
+    b, n = rows // patch_size, patch_size
     nh = cfg.n_heads
     dh = d // nh
 
     def split_heads(x):
-        return ad.transpose(ad.reshape(x, (n, nh, dh)), (1, 0, 2))  # (H, N, dh)
+        return ad.transpose(ad.reshape(x, (b, n, nh, dh)), (0, 2, 1, 3))  # (B, H, N, dh)
 
     q = split_heads(ad.linear(h, weights[f"{prefix}.q.weight"], weights[f"{prefix}.q.bias"]))
     k = split_heads(ad.linear(h, weights[f"{prefix}.k.weight"], weights[f"{prefix}.k.bias"]))
     v = split_heads(ad.linear(h, weights[f"{prefix}.v.weight"], weights[f"{prefix}.v.bias"]))
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-    att = ad.softmax(scores, axis=2)                     # (H, N, N)
-    o = ad.matmul(att, v)                                # (H, N, dh)
-    o = ad.reshape(ad.transpose(o, (1, 0, 2)), (n, d))
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    att = ad.softmax(scores, axis=3)                     # (B, H, N, N)
+    o = ad.matmul(att, v)                                # (B, H, N, dh)
+    o = ad.reshape(ad.transpose(o, (0, 2, 1, 3)), (rows, d))
     return ad.linear(o, weights[f"{prefix}.o.weight"], weights[f"{prefix}.o.bias"])
 
 
-def encoder_layer(f: Tensor, weights: ModelWeights, layer: int) -> Tensor:
+def encoder_layer(f: Tensor, weights: ModelWeights, layer: int,
+                  patch_size: int | None = None) -> Tensor:
     """Pre-LN block: F += MSA(LN(F)); F += MLP(LN(F)). With attention ablated
-    the MSA is a shared per-point linear layer."""
+    the MSA is a shared per-point linear layer. The rows of `f` are patches
+    of `patch_size` rows each, by default one patch."""
     cfg = weights.config
     p = f"encoder.l{layer}"
     h = ad.layer_norm(f, weights[f"{p}.ln1_gain"], weights[f"{p}.ln1_bias"])
     if cfg.attention_enabled:
-        mixed = _multihead_attention(h, weights, p, cfg)
+        mixed = _multihead_attention(h, weights, p, cfg, patch_size or f.shape[0])
     else:
         mixed = ad.linear(h, weights[f"{p}.conv.weight"], weights[f"{p}.conv.bias"])
     f = ad.add(f, mixed)
@@ -390,13 +423,21 @@ def output_header(f: Tensor, x: Tensor, weights: ModelWeights) -> Tensor:
 
 
 def forward(coords, weights: ModelWeights, graphs: dict | None = None) -> Tensor:
-    """Denoise one locally-normalized patch; returns an (N, 3) Tensor."""
+    """Denoise locally-normalized patches; returns a Tensor shaped like coords.
+
+    `coords` is one (N, 3) patch, or B patches stacked as (B*N, 3) rows
+    with `graphs` from build_graphs on the (B, N, 3) stack. Every layer but
+    attention works row by row, and the offset graph indices keep each
+    patch's neighbours inside it, so a stack is a block-diagonal batch."""
     cfg = weights.config
     coords_np = np.asarray(coords, dtype=ad.default_dtype())
     if coords_np.ndim != 2 or coords_np.shape[1] != 3:
         raise ArgumentError(f"coords must be (N, 3), got {coords_np.shape}")
     if graphs is None:
         graphs = build_graphs(coords_np, cfg)
+    graph_rows = len(graphs[("knn", cfg.k_scales[0])])
+    if graph_rows != len(coords_np):
+        raise ArgumentError(f"graphs cover {graph_rows} rows but coords has {len(coords_np)}")
     x = Tensor(coords_np)
     emb = point_embedding(x, graphs, weights)
     if cfg.encoding_mode == "sparse":
@@ -406,7 +447,7 @@ def forward(coords, weights: ModelWeights, graphs: dict | None = None) -> Tensor
     else:
         f = emb
     for i in range(cfg.n_encoder_layers):
-        f = encoder_layer(f, weights, i)
+        f = encoder_layer(f, weights, i, graphs["patch_size"])
     y = output_header(f, x, weights)
     if not np.all(np.isfinite(y.data)):
         raise NumericError("non-finite values in network output")

@@ -81,8 +81,8 @@ def _points_to_triangle(p, a, b, c):
     return np.where(inside, dist_plane * dist_plane, edge)
 
 
-def point_to_mesh(cloud, surface) -> float:
-    """One-sided mean squared distance from points to a surface.
+def surface_sqdist(cloud, surface) -> np.ndarray:
+    """(N,) squared distance from each point to a surface.
 
     The surface may be a TriMesh (minimum over triangles) or an analytic
     sphere / torus / cube (closed-form distance). Caller guarantees both live
@@ -90,17 +90,22 @@ def point_to_mesh(cloud, surface) -> float:
     """
     pts = np.asarray(getattr(cloud, "coords", cloud), dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
-        raise ArgumentError(f"point_to_mesh expects a non-empty (N, 3) array, got {pts.shape}")
+        raise ArgumentError(f"surface distance needs a non-empty (N, 3) array, got {pts.shape}")
     if isinstance(surface, (Sphere, Torus, Cube)):
-        return float(surface.sqdist(pts).mean())
+        return surface.sqdist(pts)
     if isinstance(surface, TriMesh):
         if len(surface.triangles) == 0:
             raise ArgumentError("mesh has no triangles")
         best = np.full(len(pts), np.inf)
         for tri in surface.triangle_corners():
             best = np.minimum(best, _points_to_triangle(pts, tri[0], tri[1], tri[2]))
-        return float(best.mean())
+        return best
     raise ArgumentError(f"unsupported surface type {type(surface).__name__}")
+
+
+def point_to_mesh(cloud, surface) -> float:
+    """One-sided mean squared distance from points to a surface (P2M)."""
+    return float(surface_sqdist(cloud, surface).mean())
 
 
 # ---------------------------------------------------------------------------

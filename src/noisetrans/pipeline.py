@@ -36,9 +36,18 @@ from .model import (
     forward,
     init_weights,
     load_weights,
+    repeat_graphs,
     save_weights,
 )
-from .objective import Adam, EvalReport, EvalRow, chamfer_distance, loss_total, point_to_mesh
+from .objective import (
+    Adam,
+    EvalReport,
+    EvalRow,
+    chamfer_distance,
+    loss_total,
+    point_to_mesh,
+    surface_sqdist,
+)
 from .spatial import KdTree, extract_patches, stitch_patches
 
 log = logging.getLogger(__name__)
@@ -314,6 +323,22 @@ def _sampled_rotations(n: int, seed: int) -> list[np.ndarray]:
     return rots
 
 
+# Budget, in elements, of one forward's largest tensor: the embedding's edge
+# features, rows x max(k_scales) x 2 feat_width. The desk profile then runs
+# 512 rows per forward (4 patches x 4 rotations, or 16 patches unrotated),
+# which measured fastest: larger chunks spent more time in page faults and
+# raised peak memory. A full-profile patch alone exceeds it, so that runs
+# one patch per forward.
+_EDGE_BUDGET = 2 ** 16
+
+
+def _patches_per_forward(cfg: ModelConfig, patch_size: int, copies: int) -> int:
+    """The most patches whose `copies`-fold edge tensor fits _EDGE_BUDGET,
+    and never fewer than one."""
+    per_patch = copies * patch_size * max(cfg.k_scales) * 2 * cfg.feat_width
+    return max(1, _EDGE_BUDGET // per_patch)
+
+
 def denoise(coords, weights: ModelWeights, iterations: int = 1,
             patch_size: int = 256, coverage: int = 3,
             normal_projection: bool = True, rotations: int = 1,
@@ -336,7 +361,14 @@ def denoise(coords, weights: ModelWeights, iterations: int = 1,
     rotations) and the rotated-back predictions are averaged. The network
     is permutation- but not rotation-equivariant, so this ensembling
     averages out orientation-dependent prediction error. Deterministic
-    given `rotation_seed`; multiplies forward cost by `rotations`."""
+    given `rotation_seed`; multiplies forward cost by `rotations`.
+
+    Each pass builds every patch's KNN graphs once, in its unrotated local
+    frame, and all rotations share them: the graphs do not change under
+    rotation. Patches run through the network in chunks, each chunk one
+    forward over all its patches under all rotations. A chunk holds the
+    most patches whose edge-feature tensor (rows x max(k_scales) x 2
+    feat_width) stays within a fixed element budget, and at least one."""
     coords = np.asarray(coords, dtype=np.float64)
     cfg = weights.config
     if len(coords) < cfg.min_points:
@@ -348,19 +380,22 @@ def denoise(coords, weights: ModelWeights, iterations: int = 1,
         raise ArgumentError(
             f"patch_size {patch_size} below the model minimum {cfg.min_points}"
         )
-    rots = _sampled_rotations(rotations, rotation_seed) if rotations > 1 else None
+    rots = _sampled_rotations(rotations, rotation_seed)
     for _ in range(iterations):
         cloud = normalize_unit_sphere(PointCloud(coords))
         patches = extract_patches(cloud.coords, patch_size, min_coverage=coverage)
-        if rots is None:
-            outs = [forward(p.local_coords, weights).data for p in patches]
-        else:
-            outs = []
-            for p in patches:
-                acc = np.zeros_like(p.local_coords)
-                for rot in rots:
-                    acc += forward(p.local_coords @ rot.T, weights).data @ rot
-                outs.append(acc / len(rots))
+        local = np.stack([p.local_coords for p in patches])           # (P, N, 3)
+        chunk = _patches_per_forward(cfg, local.shape[1], len(rots))
+        outs = []
+        for start in range(0, len(local), chunk):
+            block = local[start:start + chunk]
+            graphs = repeat_graphs(build_graphs(block, cfg), len(rots))
+            rows = np.concatenate([block @ rot.T for rot in rots]).reshape(-1, 3)
+            ys = forward(rows, weights, graphs=graphs).data.reshape(len(rots), *block.shape)
+            acc = np.zeros_like(block)
+            for y, rot in zip(ys, rots):
+                acc += y @ rot
+            outs.extend(acc / len(rots))
         stitched = stitch_patches(patches, outs, len(coords))
         out = denormalize(PointCloud(stitched, center=cloud.center,
                                      scale=cloud.scale)).coords
@@ -391,14 +426,7 @@ def evaluate_pairs(items, out_dir=None, export_colored: bool = False,
             iterations=item.get("iterations", 0),
         ))
         if export_colored and out_dir is not None:
-            surface = item["surface"]
-            if hasattr(surface, "sqdist"):
-                d = np.sqrt(surface.sqdist(np.asarray(item["denoised"])))
-            else:
-                d = np.sqrt(np.array([
-                    point_to_mesh(p[None, :], surface)
-                    for p in np.asarray(item["denoised"])
-                ]))
+            d = np.sqrt(surface_sqdist(item["denoised"], item["surface"]))
             write_colored_cloud(np.asarray(item["denoised"]), d,
                                 os.path.join(out_dir, f"{item['name']}_colored.ply"))
     return report

@@ -130,6 +130,42 @@ def knn_brute_force(cloud, queries, k: int, exclude_self: bool = False):
     return (order.astype(np.int64), np.take_along_axis(d2, order, axis=1))
 
 
+def patch_knn(patches, k: int):
+    """Exclude-self KNN inside each patch of a (B, N, 3) stack, by brute force.
+
+    Returns (B, N, k) indices into each patch's own rows and the matching
+    squared distances; patch b's result equals
+    knn_brute_force(p, p, k, exclude_self=True) for p = patches[b], with
+    the same difference arithmetic and (distance, x, y, z, index) order.
+    Only the k + 4 nearest by distance are ordered, unless a tie at the kth
+    distance reaches past them, in which case whole rows are.
+    """
+    pts = np.asarray(patches, dtype=np.float64)
+    if pts.ndim != 3 or pts.shape[2] != 3:
+        raise ArgumentError(f"patches must have shape (B, N, 3), got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ArgumentError("patches contain non-finite coordinates")
+    b, n, _ = pts.shape
+    if not 1 <= k <= n - 1:
+        raise ArgumentError(f"k={k} out of range for {n} points (exclude-self)")
+    diff = pts[:, :, None, :] - pts[:, None, :, :]
+    d2 = (diff * diff).sum(axis=-1)
+    rows = np.arange(n)
+    d2[:, rows, rows] = np.inf
+    batch = np.arange(b)[:, None, None]
+    k_ext = min(n, k + 4)
+    while True:
+        cand = np.argpartition(d2, k_ext - 1, axis=-1)[..., :k_ext]
+        cd2 = np.take_along_axis(d2, cand, axis=-1)
+        c = pts[batch, cand]
+        order = _lex_order(cd2, c[..., 0], c[..., 1], c[..., 2], cand)
+        sd2 = np.take_along_axis(cd2, order, axis=-1)
+        # exact when no point outside the candidates could beat or tie the kth
+        if k_ext == n or np.all(sd2[..., k - 1] < cd2.max(axis=-1)):
+            return np.take_along_axis(cand, order[..., :k], axis=-1), sd2[..., :k]
+        k_ext = n
+
+
 def _argmax_lex(values: np.ndarray, pts: np.ndarray, allowed: np.ndarray) -> int:
     """Index of the max value among allowed rows; ties by smallest (x, y, z)."""
     vals = np.where(allowed, values, -np.inf)

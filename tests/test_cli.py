@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import noisetrans.autodiff as ad
 from noisetrans.cli import main, read_config_file, _parse_sweep
 from noisetrans.errors import ArgumentError, ParseError
 from noisetrans.geometry import read_pointcloud
@@ -78,6 +79,21 @@ def test_denoise_identity_via_cli(tiny_dataset, tmp_path, capsys):
     b = read_pointcloud(out_file).coords
     # fresh weights are the identity and xyz text round-trips exactly
     assert np.abs(a - b).max() <= 1e-9
+
+
+def test_f32_denoise_leaves_the_default_dtype_alone(tiny_dataset, tmp_path):
+    run_dir = tmp_path / "run"
+    assert run(["train", "--data", tiny_dataset, "--epochs", 0, "--out", run_dir]) == 0
+    noisy = tiny_dataset.parent / "shape_000_sphere_noisy.xyz"
+    assert ad.default_dtype() == np.float64
+    assert run(["denoise", "--in", noisy, "--weights", run_dir / "weights.ntw",
+                "--iterations", 1, "--patch-size", 16, "--precision", "f32",
+                "--out", tmp_path / "den.xyz"]) == 0
+    assert ad.default_dtype() == np.float64
+    # and on the error path
+    assert run(["denoise", "--in", noisy, "--weights", tmp_path / "nope.ntw",
+                "--precision", "f32"]) == 3
+    assert ad.default_dtype() == np.float64
 
 
 def test_denoise_auto_iterations_uses_noise_level(tiny_dataset, tmp_path):

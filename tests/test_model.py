@@ -8,6 +8,7 @@ import noisetrans.autodiff as ad
 from noisetrans.autodiff import Tape, Tensor
 from noisetrans.errors import ArgumentError, ContractError, FormatError
 from noisetrans.model import (
+    ENCODING_MODES,
     ModelConfig,
     build_graphs,
     desk_config,
@@ -18,9 +19,11 @@ from noisetrans.model import (
     init_weights,
     load_weights,
     param_specs,
+    repeat_graphs,
     save_weights,
     sparse_encoding,
 )
+from noisetrans.spatial import knn_brute_force
 
 
 @pytest.fixture(autouse=True)
@@ -258,6 +261,58 @@ def test_graphs_exclude_self():
         idx = graphs[("knn", k)]
         assert idx.shape == (20, k)
         assert not np.any(idx == np.arange(20)[:, None])
+
+
+def test_stacked_graphs_are_offset_per_patch_graphs():
+    cfg = desk_config()
+    patches = np.random.default_rng(17).standard_normal((3, 12, 3))
+    stacked = build_graphs(patches, cfg)
+    assert stacked["patch_size"] == 12
+    for b, p in enumerate(patches):
+        own = build_graphs(p, cfg)
+        rows = slice(12 * b, 12 * (b + 1))
+        for k in cfg.k_scales:
+            assert np.array_equal(stacked[("knn", k)][rows], own[("knn", k)] + 12 * b)
+            ib, _ = knn_brute_force(p, p, k, exclude_self=True)
+            assert np.array_equal(own[("knn", k)], ib)
+        idx, d2 = stacked["sparse"]
+        assert np.array_equal(idx[rows], own["sparse"][0] + 12 * b)
+        assert np.array_equal(d2[rows], own["sparse"][1])
+
+
+STACK_CONFIGS = {
+    "desk": {},
+    "two-head": dict(k_scales=(3, 5, 7), d_model=16, n_heads=2, ffn_hidden=24,
+                     head_hidden=16, sparse_k=4),
+}
+
+
+@pytest.mark.parametrize("mode", ENCODING_MODES)
+@pytest.mark.parametrize("profile", sorted(STACK_CONFIGS))
+def test_stacked_forward_matches_per_patch(profile, mode):
+    cfg = desk_config(encoding_mode=mode, **STACK_CONFIGS[profile])
+    w = randomized_weights(cfg, seed=18)
+    patches = np.random.default_rng(19).standard_normal((4, 14, 3))
+    with Tape():
+        stacked = forward(patches.reshape(-1, 3), w, graphs=build_graphs(patches, cfg)).data
+        per_patch = np.concatenate([forward(p, w).data for p in patches])
+    assert np.abs(stacked - per_patch).max() <= 1e-12
+
+
+def test_repeated_graphs_serve_rotated_copies():
+    cfg = desk_config()
+    w = randomized_weights(cfg, seed=20)
+    patches = np.random.default_rng(21).standard_normal((3, 16, 3))
+    q, _ = np.linalg.qr(np.random.default_rng(22).standard_normal((3, 3)))
+    rots = [np.eye(3), q]
+    graphs = repeat_graphs(build_graphs(patches, cfg), len(rots))
+    rows = np.concatenate([patches @ rot.T for rot in rots]).reshape(-1, 3)
+    ys = forward(rows, w, graphs=graphs).data.reshape(len(rots), *patches.shape)
+    for y, rot in zip(ys, rots):
+        for got, p in zip(y, patches):
+            assert np.abs(got - forward(p @ rot.T, w).data).max() <= 1e-12
+    with pytest.raises(ArgumentError, match="rows"):
+        forward(rows[:16], w, graphs=graphs)
 
 
 def test_weights_round_trip(tmp_path):

@@ -178,6 +178,23 @@ def test_evaluate_pairs_and_report_files(tmp_path):
     assert json.loads(open(jsonl).read().splitlines()[0])["cd"] == report.rows[0].cd
 
 
+def test_colored_export_matches_per_point_distances(tmp_path):
+    from noisetrans.geometry import TriMesh, read_colored_cloud
+    from noisetrans.objective import point_to_mesh, surface_sqdist
+    verts = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]])
+    faces = np.array([[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4],
+                      [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]])
+    mesh = TriMesh(verts, faces)                   # octahedron
+    pts = np.random.default_rng(13).uniform(-1.5, 1.5, (40, 3))
+    per_point = np.array([point_to_mesh(p[None, :], mesh) for p in pts])
+    assert np.abs(surface_sqdist(pts, mesh) - per_point).max() <= 1e-12
+    evaluate_pairs([{"name": "octa", "denoised": pts, "clean": pts, "surface": mesh}],
+                   out_dir=tmp_path, export_colored=True)
+    _, exported = read_colored_cloud(tmp_path / "octa_colored.ply")
+    # the ply stores float32
+    assert np.abs(exported - np.sqrt(per_point)).max() <= 1e-6
+
+
 def test_sweep_variants_enumeration():
     vs = sweep_variants(["sparse", "none"], [True, False], [True])
     assert len(vs) == 4
@@ -226,6 +243,41 @@ def test_denoise_rotation_averaging():
     ens2 = denoise(pts, w, patch_size=16, rotations=4)
     assert not np.allclose(one, ens)
     assert np.array_equal(ens, ens2)
+
+
+def test_denoise_matches_per_patch_rotation_loop():
+    """Chunked denoise with shared graphs equals one forward per patch per
+    rotation, each building its own graphs."""
+    from noisetrans.geometry import PointCloud, denormalize, normalize_unit_sphere
+    from noisetrans.model import forward
+    from noisetrans.pipeline import _sampled_rotations, estimate_normals
+    from noisetrans.spatial import extract_patches, stitch_patches
+    cfg = desk_config()
+    w = init_weights(cfg, seed=10)
+    rng = np.random.default_rng(11)
+    w["head.final.weight"].data = 0.05 * rng.standard_normal(
+        w["head.final.weight"].shape)
+    pts = sample_surface(Sphere(1.0), 200, seed=12).coords
+    pts += 0.01 * rng.standard_normal(pts.shape)
+
+    def per_patch_loop(coords, rotations):
+        rots = _sampled_rotations(rotations, 42)
+        cloud = normalize_unit_sphere(PointCloud(coords))
+        patches = extract_patches(cloud.coords, 16, min_coverage=3)
+        outs = []
+        for p in patches:
+            acc = np.zeros_like(p.local_coords)
+            for rot in rots:
+                acc += forward(p.local_coords @ rot.T, w).data @ rot
+            outs.append(acc / len(rots))
+        out = denormalize(PointCloud(stitch_patches(patches, outs, len(coords)),
+                                     center=cloud.center, scale=cloud.scale)).coords
+        n = estimate_normals(coords)
+        return coords + ((out - coords) * n).sum(axis=1, keepdims=True) * n
+
+    for rotations in (1, 4):
+        got = denoise(pts, w, patch_size=16, rotations=rotations)
+        assert np.abs(got - per_patch_loop(pts, rotations)).max() <= 1e-12
 
 
 def test_denoise_normal_projection_preserves_tangential_position():

@@ -13,6 +13,7 @@ from noisetrans.spatial import (
     farthest_point_sample,
     knn_brute_force,
     knn_query,
+    patch_knn,
     stitch_patches,
 )
 
@@ -211,3 +212,56 @@ def test_extract_patches_min_coverage():
     assert len(patches) > len(extract_patches(pts, patch_size=16))
     with pytest.raises(ArgumentError):
         extract_patches(pts, patch_size=16, min_coverage=0)
+
+
+def _assert_patch_knn_matches_oracle(patches):
+    """Every k, and every column prefix of it, against the per-patch scan."""
+    n = patches.shape[1]
+    for k in range(1, n):
+        idx, d2 = patch_knn(patches, k)
+        assert idx.shape == d2.shape == (len(patches), n, k)
+        for p, ip, dp in zip(patches, idx, d2):
+            for j in range(1, k + 1):
+                ib, db = knn_brute_force(p, p, j, exclude_self=True)
+                assert np.array_equal(ip[:, :j], ib), f"k={k} prefix {j}"
+                assert np.array_equal(dp[:, :j], db), f"k={k} prefix {j}"
+
+
+def test_patch_knn_matches_brute_force_random():
+    rng = np.random.default_rng(30)
+    _assert_patch_knn_matches_oracle(rng.standard_normal((3, 14, 3)))
+
+
+def test_patch_knn_duplicates_and_coincident_points():
+    rng = np.random.default_rng(31)
+    dup = rng.standard_normal((12, 3))
+    dup[6:] = dup[:6]                        # every point twice
+    lattice = np.array([[x, y, z] for x in range(2) for y in range(2)
+                        for z in range(3)], dtype=float)  # axis-aligned ties
+    coincident = np.zeros((12, 3))           # all points at one place
+    _assert_patch_knn_matches_oracle(np.stack([dup, lattice, coincident]))
+
+
+def test_patch_knn_planar_patch():
+    rng = np.random.default_rng(32)
+    planar = np.zeros((2, 15, 3))
+    planar[..., :2] = rng.standard_normal((2, 15, 2))
+    _assert_patch_knn_matches_oracle(planar)
+
+
+def test_patch_knn_at_the_model_minimum():
+    from noisetrans.model import desk_config
+    n = desk_config().min_points
+    _assert_patch_knn_matches_oracle(np.random.default_rng(33).standard_normal((4, n, 3)))
+
+
+def test_patch_knn_rejects_bad_input():
+    pts = np.zeros((2, 5, 3))
+    with pytest.raises(ArgumentError):
+        patch_knn(pts, 5)                    # only 4 others per point
+    with pytest.raises(ArgumentError):
+        patch_knn(pts[0], 2)                 # not a stack
+    bad = pts.copy()
+    bad[1, 2, 0] = np.nan
+    with pytest.raises(ArgumentError):
+        patch_knn(bad, 2)
