@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf, expit
 
-from .errors import ArgumentError, ContractError, NumericError
+from .errors import ArgumentError, ContractError, IndexRangeError, NumericError
 
 _DTYPE = np.dtype(np.float64)
 
@@ -46,7 +46,7 @@ class Tape:
     """Ordered record of executed ops; backward replays it in reverse."""
 
     def __init__(self):
-        # entries are (op_name, output_tensor, pull_fn)
+        # entries are (op_name, output_tensor, input_tensors, pull_fn)
         self._records = []
 
     def __enter__(self):
@@ -64,7 +64,9 @@ class Tape:
         """Populate .grad on every requires_grad leaf reachable from loss.
 
         Repeated calls without zeroing leaf grads accumulate; intermediate
-        grads are cleared before each replay.
+        grads are cleared before each replay. After the replay the leaves'
+        gradients are checked once: a NaN or infinity in any of them raises
+        NumericError naming the op that consumed that leaf.
         """
         if loss.data.size != 1:
             raise ContractError(
@@ -72,12 +74,18 @@ class Tape:
             )
         if not self._records:
             raise ContractError("backward called on an empty tape")
-        for _, out, _ in self._records:
+        for _, out, _, _ in self._records:
             out.grad = None
         loss.grad = np.ones_like(loss.data)
-        for name, out, pull in reversed(self._records):
+        for _, out, _, pull in reversed(self._records):
             if out.grad is not None:
                 pull()
+        produced = {id(out) for _, out, _, _ in self._records}
+        leaves = {id(t): (name, t) for name, _, inputs, _ in self._records
+                  for t in inputs if t.requires_grad and id(t) not in produced}
+        bad = first_non_finite_grad(leaves.values())
+        if bad is not None:
+            raise NumericError(f"non-finite gradient on a leaf input of op '{bad}'")
 
 
 class Tensor:
@@ -104,9 +112,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -143,17 +148,22 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accum(name: str, t: Tensor, g: np.ndarray) -> None:
+def first_non_finite_grad(named):
+    """The name of the first (name, tensor) pair whose .grad holds a NaN or
+    an infinity, or None when every gradient is finite or absent."""
+    for name, t in named:
+        if t.grad is not None and not np.isfinite(t.grad).all():
+            return name
+    return None
+
+
+def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    g = np.asarray(g, dtype=t.data.dtype)
-    # a single fused reduction catches NaN/inf far cheaper than isfinite().all()
-    if not np.isfinite(np.abs(g).sum()):
-        raise NumericError(f"non-finite gradient produced by op '{name}'")
     if t.grad is None:
         t.grad = np.array(g, dtype=t.data.dtype)
     else:
-        t.grad += g
+        t.grad += np.asarray(g, dtype=t.data.dtype)
 
 
 def _record(name: str, out: Tensor, inputs, backward) -> Tensor:
@@ -165,7 +175,7 @@ def _record(name: str, out: Tensor, inputs, backward) -> Tensor:
     def pull():
         backward(out.grad)
 
-    tape._records.append((name, out, pull))
+    tape._records.append((name, out, inputs, pull))
     return out
 
 
@@ -189,8 +199,8 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def bw(g):
-        _accum("add", a, _unbroadcast(g, a.shape))
-        _accum("add", b, _unbroadcast(g, b.shape))
+        _accum(a, _unbroadcast(g, a.shape))
+        _accum(b, _unbroadcast(g, b.shape))
 
     return _record("add", out, (a, b), bw)
 
@@ -200,8 +210,8 @@ def sub(a, b) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def bw(g):
-        _accum("sub", a, _unbroadcast(g, a.shape))
-        _accum("sub", b, _unbroadcast(-g, b.shape))
+        _accum(a, _unbroadcast(g, a.shape))
+        _accum(b, _unbroadcast(-g, b.shape))
 
     return _record("sub", out, (a, b), bw)
 
@@ -211,8 +221,8 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def bw(g):
-        _accum("mul", a, _unbroadcast(g * b.data, a.shape))
-        _accum("mul", b, _unbroadcast(g * a.data, b.shape))
+        _accum(a, _unbroadcast(g * b.data, a.shape))
+        _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _record("mul", out, (a, b), bw)
 
@@ -226,13 +236,13 @@ def matmul(a, b) -> Tensor:
     out = Tensor(np.matmul(a.data, b.data))
 
     def bw(g):
-        _accum("matmul", a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
         if b.ndim == 2 and a.ndim > 2:
             # shared-weight case: one tensordot beats batched matmul + sum
             lead = tuple(range(a.ndim - 1))
-            _accum("matmul", b, np.tensordot(a.data, g, axes=(lead, lead)))
+            _accum(b, np.tensordot(a.data, g, axes=(lead, lead)))
         else:
-            _accum("matmul", b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return _record("matmul", out, (a, b), bw)
 
@@ -247,7 +257,7 @@ def relu(x) -> Tensor:
     out = Tensor(np.where(mask, x.data, 0.0))
 
     def bw(g):
-        _accum("relu", x, np.where(mask, g, 0.0))
+        _accum(x, np.where(mask, g, 0.0))
 
     return _record("relu", out, (x,), bw)
 
@@ -258,7 +268,7 @@ def sigmoid(x) -> Tensor:
     out = Tensor(s)
 
     def bw(g):
-        _accum("sigmoid", x, g * s * (1.0 - s))
+        _accum(x, g * s * (1.0 - s))
 
     return _record("sigmoid", out, (x,), bw)
 
@@ -271,7 +281,7 @@ def gelu(x) -> Tensor:
 
     def bw(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        _accum("gelu", x, g * (cdf + x.data * pdf))
+        _accum(x, g * (cdf + x.data * pdf))
 
     return _record("gelu", out, (x,), bw)
 
@@ -286,7 +296,7 @@ def softmax(x, axis: int = -1) -> Tensor:
 
     def bw(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
-        _accum("softmax", x, s * (g - dot))
+        _accum(x, s * (g - dot))
 
     return _record("softmax", out, (x,), bw)
 
@@ -308,12 +318,12 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
     def bw(g):
         lead = tuple(range(g.ndim - 1))
-        _accum("layer_norm", gain, (g * xhat).sum(axis=lead))
-        _accum("layer_norm", bias, g.sum(axis=lead))
+        _accum(gain, (g * xhat).sum(axis=lead))
+        _accum(bias, g.sum(axis=lead))
         gg = g * gain.data
         m1 = gg.mean(axis=-1, keepdims=True)
         m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        _accum("layer_norm", x, inv * (gg - m1 - xhat * m2))
+        _accum(x, inv * (gg - m1 - xhat * m2))
 
     return _record("layer_norm", out, (x, gain, bias), bw)
 
@@ -330,7 +340,7 @@ def gather_rows(x, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     n = x.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(
+        raise IndexRangeError(
             f"gather_rows: index out of range for {n} rows (min {idx.min()}, max {idx.max()})"
         )
     out = Tensor(x.data[idx])
@@ -341,7 +351,7 @@ def gather_rows(x, idx) -> Tensor:
         gx = np.empty_like(x.data)
         for j in range(x.shape[1]):  # bincount per column is much faster than add.at
             gx[:, j] = np.bincount(flat, weights=g2[:, j], minlength=n)
-        _accum("gather_rows", x, gx)
+        _accum(x, gx)
 
     return _record("gather_rows", out, (x,), bw)
 
@@ -376,7 +386,7 @@ def _reduce_extreme(x, axis, reducer, arg_reducer, name) -> Tensor:
         np.put_along_axis(
             gx, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis
         )
-        _accum(name, x, gx)
+        _accum(x, gx)
 
     return _record(name, out, (x,), bw)
 
@@ -387,10 +397,10 @@ def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
 
     def bw(g):
         if axis is None:
-            _accum("reduce_sum", x, np.broadcast_to(g, x.shape))
+            _accum(x, np.broadcast_to(g, x.shape))
         else:
             ge = g if keepdims else np.expand_dims(g, axis)
-            _accum("reduce_sum", x, np.broadcast_to(ge, x.shape))
+            _accum(x, np.broadcast_to(ge, x.shape))
 
     return _record("reduce_sum", out, (x,), bw)
 
@@ -422,7 +432,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
     def bw(g):
         for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
-            _accum("concat", t, piece)
+            _accum(t, piece)
 
     return _record("concat", out, tuple(tensors), bw)
 
@@ -432,7 +442,7 @@ def reshape(x, shape) -> Tensor:
     out = Tensor(x.data.reshape(shape))
 
     def bw(g):
-        _accum("reshape", x, g.reshape(x.shape))
+        _accum(x, g.reshape(x.shape))
 
     return _record("reshape", out, (x,), bw)
 
@@ -444,7 +454,7 @@ def transpose(x, axes) -> Tensor:
     out = Tensor(x.data.transpose(axes))
 
     def bw(g):
-        _accum("transpose", x, g.transpose(inv))
+        _accum(x, g.transpose(inv))
 
     return _record("transpose", out, (x,), bw)
 
@@ -454,7 +464,7 @@ def broadcast_to(x, shape) -> Tensor:
     out = Tensor(np.broadcast_to(x.data, shape).copy())
 
     def bw(g):
-        _accum("broadcast_to", x, _unbroadcast(g, x.shape))
+        _accum(x, _unbroadcast(g, x.shape))
 
     return _record("broadcast_to", out, (x,), bw)
 
@@ -470,8 +480,8 @@ def pairwise_sqdist(a, b) -> Tensor:
     out = Tensor((diff * diff).sum(axis=-1))
 
     def bw(g):
-        _accum("pairwise_sqdist", a, 2.0 * np.einsum("ij,ijk->ik", g, diff))
-        _accum("pairwise_sqdist", b, -2.0 * np.einsum("ij,ijk->jk", g, diff))
+        _accum(a, 2.0 * np.einsum("ij,ijk->ik", g, diff))
+        _accum(b, -2.0 * np.einsum("ij,ijk->jk", g, diff))
 
     return _record("pairwise_sqdist", out, (a, b), bw)
 

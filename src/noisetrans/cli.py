@@ -2,8 +2,8 @@
 
 Flag resolution order is CLI flag > config file ("key = value" lines) >
 built-in default; every run writes a resolved-config dump next to its
-outputs. Exit codes: 0 success, 2 argument error, 3 data/format error,
-4 numeric error.
+outputs. A run that fails prints "error: ..." and exits with the code of
+its error class; errors.py holds the table.
 """
 from __future__ import annotations
 
@@ -17,16 +17,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .corruption import NoiseSpec
-from .errors import (
-    ArgumentError,
-    ContractError,
-    DegenerateError,
-    FormatError,
-    NoiseTransError,
-    NumericError,
-    ParseError,
+from .errors import ArgumentError, ContractError, NoiseTransError, ParseError
+from .geometry import (
+    PointCloud,
+    load_mesh,
+    make_shape,
+    read_pointcloud,
+    read_text,
+    write_pointcloud,
 )
-from .geometry import load_mesh, make_shape, read_pointcloud, write_pointcloud, PointCloud
 from .model import ModelConfig, desk_config, full_config, init_weights, load_weights, save_weights
 from .pipeline import (
     auto_iterations,
@@ -43,15 +42,14 @@ from .pipeline import (
 def read_config_file(path) -> dict:
     """Parse UTF-8 'key = value' lines; '#' starts a comment."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+        key, val = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -65,14 +63,13 @@ def _resolve(args, defaults: dict) -> dict:
             resolved[key] = cli_val
         elif key in file_vals:
             raw = file_vals[key]
-            if isinstance(default, bool):
-                resolved[key] = raw.lower() in ("1", "true", "yes", "on")
-            elif isinstance(default, int):
-                resolved[key] = int(raw)
-            elif isinstance(default, float):
-                resolved[key] = float(raw)
-            else:
-                resolved[key] = raw
+            try:
+                resolved[key] = (raw.lower() in ("1", "true", "yes", "on")
+                                 if isinstance(default, bool) else type(default)(raw))
+            except ValueError:
+                raise ParseError(
+                    f"{args.config}: '{key}' needs a {type(default).__name__}, got '{raw}'"
+                ) from None
         else:
             resolved[key] = default
     return resolved
@@ -349,30 +346,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The builtin errors a run may end with; the package's own errors carry
+# their exit code (see errors.py). Any other exception is a bug.
+_BUILTIN_EXIT_CODES = {OSError: 3}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     dtype = ad.default_dtype()  # --precision switches it for this call only
     try:
         return args.func(args)
-    except ArgumentError as exc:
+    except (NoiseTransError, *_BUILTIN_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IndexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, FormatError, ContractError, DegenerateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NoiseTransError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, NoiseTransError):
+            return exc.exit_code
+        return next(code for cls, code in _BUILTIN_EXIT_CODES.items() if isinstance(exc, cls))
     finally:
         ad.set_default_dtype(dtype)
 

@@ -18,6 +18,33 @@ from .errors import ArgumentError, DegenerateError, FormatError, ParseError
 log = logging.getLogger(__name__)
 
 
+def as_points(a, name: str = "points", stacked: bool = False,
+              nonempty: bool = False) -> np.ndarray:
+    """`a` as float64 coordinates of shape (N, 3), or (B, N, 3) patches
+    with `stacked`; raises ArgumentError on any other shape, on a NaN or
+    infinite coordinate, and with `nonempty` on N = 0. Every module
+    validates coordinates through this."""
+    pts = np.asarray(a, dtype=np.float64)
+    if pts.ndim != (3 if stacked else 2) or pts.shape[-1] != 3:
+        want = "(B, N, 3)" if stacked else "(N, 3)"
+        raise ArgumentError(f"{name} must have shape {want}, got {pts.shape}")
+    if nonempty and pts.shape[-2] == 0:
+        raise ArgumentError(f"{name} holds no points")
+    if not np.isfinite(pts).all():
+        raise ArgumentError(f"{name} contains non-finite coordinates")
+    return pts
+
+
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file; other bytes raise ParseError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+
+
 @dataclass
 class PointCloud:
     """N x 3 coordinates plus an optional normalization record."""
@@ -27,13 +54,7 @@ class PointCloud:
     scale: float | None = None
 
     def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=np.float64)
-        if self.coords.ndim != 2 or self.coords.shape[1] != 3:
-            raise ArgumentError(f"coords must be (N, 3), got {self.coords.shape}")
-        if len(self.coords) < 1:
-            raise ArgumentError("a point cloud needs at least one point")
-        if not np.all(np.isfinite(self.coords)):
-            raise ArgumentError("coords contain non-finite values")
+        self.coords = as_points(self.coords, "coords", nonempty=True)
 
     def __len__(self):
         return len(self.coords)
@@ -48,10 +69,8 @@ class TriMesh:
     dropped_degenerate: int = 0
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64)
+        self.vertices = as_points(self.vertices, "vertices")
         self.triangles = np.asarray(self.triangles, dtype=np.int64)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise ArgumentError(f"vertices must be (V, 3), got {self.vertices.shape}")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ArgumentError(f"triangles must be (T, 3), got {self.triangles.shape}")
         if self.triangles.size and self.triangles.max() >= len(self.vertices):
@@ -119,18 +138,17 @@ def write_pointcloud(cloud: PointCloud, path, fmt: str | None = None) -> None:
 
 def _read_xyz(path) -> PointCloud:
     pts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 coordinates, got {len(parts)}")
-            try:
-                pts.append([float(parts[0]), float(parts[1]), float(parts[2])])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) < 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 coordinates, got {len(parts)}")
+        try:
+            pts.append([float(parts[0]), float(parts[1]), float(parts[2])])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
     if not pts:
         raise FormatError(f"{path}: no points")
     return PointCloud(np.asarray(pts))
@@ -298,12 +316,11 @@ def load_mesh(path, fmt: str | None = None) -> TriMesh:
 
 
 def _read_off(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = []
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend((lineno, t) for t in line.split())
+    tokens = []
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            tokens.extend((lineno, t) for t in line.split())
     if not tokens:
         raise ParseError(f"{path}: empty off file")
     it = iter(tokens)
@@ -332,29 +349,28 @@ def _read_off(path):
 
 def _read_obj(path):
     verts, faces = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split("#", 1)[0].split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise ParseError(f"{path}:{lineno}: vertex needs 3 coordinates")
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if parts[0] == "v":
+            if len(parts) < 4:
+                raise ParseError(f"{path}:{lineno}: vertex needs 3 coordinates")
+            try:
+                verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+        elif parts[0] == "f":
+            face = []
+            for tok in parts[1:]:
                 try:
-                    verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                    i = int(tok.split("/", 1)[0])
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: {exc}") from None
-            elif parts[0] == "f":
-                face = []
-                for tok in parts[1:]:
-                    try:
-                        i = int(tok.split("/", 1)[0])
-                    except ValueError as exc:
-                        raise ParseError(f"{path}:{lineno}: {exc}") from None
-                    face.append(i - 1 if i > 0 else len(verts) + i)
-                if len(face) < 3:
-                    raise ParseError(f"{path}:{lineno}: face with {len(face)} vertices")
-                faces.append(face)
+                face.append(i - 1 if i > 0 else len(verts) + i)
+            if len(face) < 3:
+                raise ParseError(f"{path}:{lineno}: face with {len(face)} vertices")
+            faces.append(face)
     if not verts:
         raise FormatError(f"{path}: no vertices")
     return verts, faces

@@ -19,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ArgumentError, ContractError, FormatError, NumericError
+from .geometry import as_points
 from .spatial import patch_knn
 
 ENCODING_MODES = ("sparse", "coordinate", "none")
@@ -163,16 +164,9 @@ class ModelWeights:
     def names(self) -> list[str]:
         return list(self.params)
 
-    def tensors(self) -> list[Tensor]:
-        return list(self.params.values())
-
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.grad = None
-
-    def set_requires_grad(self, flag: bool) -> None:
-        for t in self.params.values():
-            t.requires_grad = flag
 
     def n_params(self) -> int:
         return sum(t.size for t in self.params.values())
@@ -269,11 +263,9 @@ def build_graphs(coords: np.ndarray, cfg: ModelConfig) -> dict:
     block, patch b's offset by b*N, so a stack's graphs are one
     block-diagonal graph; "patch_size" records N.
     """
-    pts = np.asarray(coords, dtype=np.float64)
+    pts = as_points(coords, "coords", stacked=np.ndim(coords) == 3)
     if pts.ndim == 2:
         pts = pts[None]
-    if pts.ndim != 3 or pts.shape[2] != 3:
-        raise ArgumentError(f"coords must be (N, 3) or (B, N, 3), got {np.shape(coords)}")
     b, n, _ = pts.shape
     if n < cfg.min_points:
         raise ArgumentError(
@@ -430,9 +422,7 @@ def forward(coords, weights: ModelWeights, graphs: dict | None = None) -> Tensor
     attention works row by row, and the offset graph indices keep each
     patch's neighbours inside it, so a stack is a block-diagonal batch."""
     cfg = weights.config
-    coords_np = np.asarray(coords, dtype=ad.default_dtype())
-    if coords_np.ndim != 2 or coords_np.shape[1] != 3:
-        raise ArgumentError(f"coords must be (N, 3), got {coords_np.shape}")
+    coords_np = as_points(coords, "coords").astype(ad.default_dtype(), copy=False)
     if graphs is None:
         graphs = build_graphs(coords_np, cfg)
     graph_rows = len(graphs[("knn", cfg.k_scales[0])])

@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ArgumentError, ContractError, NumericError
-from .geometry import Cube, Sphere, Torus, TriMesh
+from .geometry import Cube, Sphere, Torus, TriMesh, as_points
 from .model import ModelWeights
 from .spatial import KdTree
 
@@ -21,12 +21,8 @@ from .spatial import KdTree
 
 def chamfer_distance(s1, s2) -> float:
     """Symmetric mean of nearest-neighbour squared distances."""
-    a = np.asarray(s1, dtype=np.float64)
-    b = np.asarray(s2, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != 3 or b.ndim != 2 or b.shape[1] != 3:
-        raise ArgumentError(f"chamfer_distance expects (N, 3) arrays, got {a.shape}, {b.shape}")
-    if len(a) == 0 or len(b) == 0:
-        raise ArgumentError("chamfer_distance over an empty point set")
+    a = as_points(s1, "s1", nonempty=True)
+    b = as_points(s2, "s2", nonempty=True)
     _, d_ab = KdTree(b).query(a, 1)
     _, d_ba = KdTree(a).query(b, 1)
     return float(d_ab[:, 0].mean() + d_ba[:, 0].mean())
@@ -88,9 +84,7 @@ def surface_sqdist(cloud, surface) -> np.ndarray:
     sphere / torus / cube (closed-form distance). Caller guarantees both live
     in the same frame.
     """
-    pts = np.asarray(getattr(cloud, "coords", cloud), dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
-        raise ArgumentError(f"surface distance needs a non-empty (N, 3) array, got {pts.shape}")
+    pts = as_points(getattr(cloud, "coords", cloud), "cloud", nonempty=True)
     if isinstance(surface, (Sphere, Torus, Cube)):
         return surface.sqdist(pts)
     if isinstance(surface, TriMesh):
@@ -167,12 +161,11 @@ class Adam:
 
     def step(self, epoch: int = 0) -> None:
         """Apply one update from the grads currently on the weights."""
-        grads = {}
-        for name, t in self.weights.params.items():
-            g = t.grad if t.grad is not None else np.zeros_like(t.data)
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for parameter '{name}'; step refused")
-            grads[name] = g
+        bad = ad.first_non_finite_grad(self.weights.params.items())
+        if bad is not None:
+            raise NumericError(f"non-finite gradient for parameter '{bad}'; step refused")
+        grads = {name: t.grad if t.grad is not None else np.zeros_like(t.data)
+                 for name, t in self.weights.params.items()}
         b1, b2 = self.betas
         self.step_count += 1
         t = self.step_count

@@ -18,11 +18,13 @@ from .corruption import NoiseSpec, perturb
 from .errors import ArgumentError, ContractError, NumericError
 from .geometry import (
     PointCloud,
+    as_points,
     denormalize,
     load_mesh,
     make_shape,
     normalize_unit_sphere,
     read_pointcloud,
+    read_text,
     sample_surface,
     shape_from_dict,
     shape_to_dict,
@@ -122,8 +124,7 @@ def make_dataset(out_dir, shapes, n_points: int, noise: NoiseSpec,
 
 def load_manifest(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ContractError(f"{path}: bad manifest: {exc}") from None
     if "entries" not in manifest:
@@ -167,11 +168,6 @@ def build_training_pairs(manifest_path, patch_size: int, cfg: ModelConfig) -> li
         patches = extract_patches(noisy.coords, patch_size)
         clean_tree = KdTree(clean.coords)
         for patch in patches:
-            if len(patch.member_indices) < cfg.min_points:
-                raise ArgumentError(
-                    f"patch size {len(patch.member_indices)} below the model "
-                    f"minimum {cfg.min_points}"
-                )
             members_world = noisy.coords[patch.member_indices]
             gt_idx, _ = clean_tree.query(members_world, 1)
             gt_local = (clean.coords[gt_idx[:, 0]] - patch.center) / patch.scale
@@ -369,7 +365,7 @@ def denoise(coords, weights: ModelWeights, iterations: int = 1,
     forward over all its patches under all rotations. A chunk holds the
     most patches whose edge-feature tensor (rows x max(k_scales) x 2
     feat_width) stays within a fixed element budget, and at least one."""
-    coords = np.asarray(coords, dtype=np.float64)
+    coords = as_points(coords, "coords")
     cfg = weights.config
     if len(coords) < cfg.min_points:
         raise ArgumentError(

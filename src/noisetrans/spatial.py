@@ -13,15 +13,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ArgumentError, ContractError
-
-
-def _as_points(a, name: str) -> np.ndarray:
-    pts = np.asarray(a, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ArgumentError(f"{name} must have shape (N, 3), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ArgumentError(f"{name} contains non-finite coordinates")
-    return pts
+from .geometry import as_points
 
 
 def _lex_order(d2, cx, cy, cz, idx):
@@ -33,6 +25,20 @@ def _lex_order(d2, cx, cy, cz, idx):
     return np.lexsort((idx, cz, cy, cx, d2), axis=-1)
 
 
+def _check_knn_request(pts, q, k: int, exclude_self: bool) -> None:
+    if exclude_self and q.shape != pts.shape:
+        raise ArgumentError(
+            "exclude_self queries must be the indexed cloud itself "
+            f"(got {q.shape} vs {pts.shape})"
+        )
+    limit = len(pts) - 1 if exclude_self else len(pts)
+    if not 1 <= k <= limit:
+        raise ArgumentError(
+            f"k={k} out of range for {len(pts)} points"
+            + (" (exclude-self)" if exclude_self else "")
+        )
+
+
 class KdTree:
     """Exact KNN index over an (N, 3) point set, backed by a spatial tree.
 
@@ -42,7 +48,7 @@ class KdTree:
     """
 
     def __init__(self, points):
-        self.points = _as_points(points, "points")
+        self.points = as_points(points, "points")
         self._tree = cKDTree(self.points)
 
     def __len__(self):
@@ -56,19 +62,9 @@ class KdTree:
         """
         pts = self.points
         n = len(pts)
-        q = _as_points(queries, "queries")
+        q = as_points(queries, "queries")
         m = len(q)
-        if exclude_self and q.shape != pts.shape:
-            raise ArgumentError(
-                "exclude_self queries must be the indexed cloud itself "
-                f"(got {q.shape} vs {pts.shape})"
-            )
-        limit = n - 1 if exclude_self else n
-        if not 1 <= k <= limit:
-            raise ArgumentError(
-                f"k={k} out of range for {n} points"
-                + (" (exclude-self)" if exclude_self else "")
-            )
+        _check_knn_request(pts, q, k, exclude_self)
         if m == 0:
             return (np.empty((0, k), dtype=np.int64), np.empty((0, k)))
 
@@ -102,20 +98,10 @@ def knn_query(cloud, queries, k: int, exclude_self: bool = False):
 
 def knn_brute_force(cloud, queries, k: int, exclude_self: bool = False):
     """Exhaustive-scan oracle with the same contract and tie-break as knn_query."""
-    pts = _as_points(cloud, "cloud")
-    q = _as_points(queries, "queries")
+    pts = as_points(cloud, "cloud")
+    q = as_points(queries, "queries")
     n, m = len(pts), len(q)
-    if exclude_self and q.shape != pts.shape:
-        raise ArgumentError(
-            "exclude_self queries must be the indexed cloud itself "
-            f"(got {q.shape} vs {pts.shape})"
-        )
-    limit = n - 1 if exclude_self else n
-    if not 1 <= k <= limit:
-        raise ArgumentError(
-            f"k={k} out of range for {n} points"
-            + (" (exclude-self)" if exclude_self else "")
-        )
+    _check_knn_request(pts, q, k, exclude_self)
     if m == 0:
         return (np.empty((0, k), dtype=np.int64), np.empty((0, k)))
     diff = q[:, None, :] - pts[None, :, :]
@@ -140,11 +126,7 @@ def patch_knn(patches, k: int):
     Only the k + 4 nearest by distance are ordered, unless a tie at the kth
     distance reaches past them, in which case whole rows are.
     """
-    pts = np.asarray(patches, dtype=np.float64)
-    if pts.ndim != 3 or pts.shape[2] != 3:
-        raise ArgumentError(f"patches must have shape (B, N, 3), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ArgumentError("patches contain non-finite coordinates")
+    pts = as_points(patches, "patches", stacked=True)
     b, n, _ = pts.shape
     if not 1 <= k <= n - 1:
         raise ArgumentError(f"k={k} out of range for {n} points (exclude-self)")
@@ -181,7 +163,7 @@ def farthest_point_sample(cloud, count: int) -> np.ndarray:
     The first pick is the point farthest from the centroid; each later pick
     maximizes the minimum distance to the already-chosen set.
     """
-    pts = _as_points(cloud, "cloud")
+    pts = as_points(cloud, "cloud")
     n = len(pts)
     if not 1 <= count <= n:
         raise ArgumentError(f"count={count} out of range for {n} points")
@@ -236,10 +218,8 @@ def extract_patches(cloud, patch_size: int, min_coverage: int = 1) -> list[Patch
     scaled to max norm 1. min_coverage > 1 gives every point several
     independent patch estimates to average at stitch time.
     """
-    pts = _as_points(cloud, "cloud")
+    pts = as_points(cloud, "cloud", nonempty=True)
     n = len(pts)
-    if n == 0:
-        raise ArgumentError("cannot extract patches from an empty cloud")
     if patch_size < 1:
         raise ArgumentError(f"patch_size must be positive, got {patch_size}")
     if min_coverage < 1:

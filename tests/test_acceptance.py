@@ -10,9 +10,7 @@ import shutil
 import tempfile
 
 import numpy as np
-import pytest
 
-import noisetrans.autodiff as ad
 from noisetrans.autodiff import Tape
 from noisetrans.cli import main as cli_main
 from noisetrans.corruption import NoiseSpec, perturb, reference_length
@@ -44,13 +42,6 @@ from helpers import fd_model_param_grads, rel_err, sampled_triangle_dist
 TRAIN_RECIPE = dict(epochs=16, base_lr=2e-3, halve_every=50, seed=0,
                     patch_size=32, clip_norm=1.0, average_tail=6)
 DENOISE_RECIPE = dict(iterations=4, coverage=3, rotations=4)
-
-
-@pytest.fixture(autouse=True)
-def f64():
-    ad.set_default_dtype(np.float64)
-    yield
-    ad.set_default_dtype(np.float64)
 
 
 def report(num, name, ok):

@@ -9,13 +9,6 @@ from noisetrans.errors import ArgumentError, ContractError, NumericError
 from helpers import central_diff, rel_err
 
 
-@pytest.fixture(autouse=True)
-def f64():
-    ad.set_default_dtype(np.float64)
-    yield
-    ad.set_default_dtype(np.float64)
-
-
 def grad_of(build, x0, h=1e-6, seed=0):
     """Analytic grad of sum(w * build(x)) at x0 vs central differences."""
     rng = np.random.default_rng(seed)
@@ -217,6 +210,18 @@ def test_non_finite_gradient_raises():
         out = ad.reduce_sum(ad.mul(t, Tensor(np.array([np.inf]))))
         with pytest.raises(NumericError):
             tape.backward(out)
+
+
+def test_backward_checks_every_leaf_once_after_the_replay():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([0.5, np.inf]), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.reduce_sum(ad.sigmoid(ad.mul(a, b)))
+        with pytest.raises(NumericError, match="op 'mul'"):
+            tape.backward(loss)
+    # the replay ran to the end: both leaves hold their gradients
+    assert a.grad is not None and not np.isfinite(a.grad[1])
+    assert b.grad is not None and np.isfinite(b.grad).all()
 
 
 def test_dtype_switch():

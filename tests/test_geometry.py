@@ -13,6 +13,7 @@ from noisetrans.geometry import (
     Sphere,
     Torus,
     TriMesh,
+    as_points,
     denormalize,
     load_mesh,
     make_shape,
@@ -25,6 +26,16 @@ from noisetrans.geometry import (
     write_colored_cloud,
     write_pointcloud,
 )
+from noisetrans.model import build_graphs, desk_config, forward, init_weights
+from noisetrans.objective import chamfer_distance, surface_sqdist
+from noisetrans.pipeline import denoise
+from noisetrans.spatial import (
+    KdTree,
+    extract_patches,
+    farthest_point_sample,
+    knn_brute_force,
+    patch_knn,
+)
 
 
 def test_pointcloud_validation():
@@ -34,6 +45,53 @@ def test_pointcloud_validation():
         PointCloud(np.zeros((0, 3)))
     with pytest.raises(ArgumentError):
         PointCloud(np.array([[0.0, np.nan, 0.0]]))
+
+
+def test_as_points_contract():
+    pts = as_points([[0, 1, 2]], "p")
+    assert pts.dtype == np.float64 and pts.shape == (1, 3)
+    assert as_points(np.zeros((2, 4, 3)), stacked=True).shape == (2, 4, 3)
+    assert as_points(np.zeros((0, 3))).shape == (0, 3)
+    refused = [
+        (np.zeros(3), {}, "shape"),
+        (np.zeros((2, 2)), {}, "shape"),
+        (np.zeros((1, 2, 3)), {}, "shape"),
+        (np.zeros((2, 3)), {"stacked": True}, "shape"),
+        (np.zeros((0, 3)), {"nonempty": True}, "no points"),
+        (np.zeros((2, 0, 3)), {"stacked": True, "nonempty": True}, "no points"),
+        ([[0.0, np.nan, 0.0]], {}, "non-finite"),
+        ([[[np.inf, 0.0, 0.0]]], {"stacked": True}, "non-finite"),
+    ]
+    for bad, kwargs, reason in refused:
+        with pytest.raises(ArgumentError, match=f"^p .*{reason}"):
+            as_points(bad, "p", **kwargs)
+
+
+def test_every_coordinate_entry_point_refuses_non_finite_points():
+    cfg = desk_config()
+    pts = np.random.default_rng(0).standard_normal((40, 3))
+    pts[7, 1] = np.nan
+    good = np.zeros((40, 3))
+    calls = [
+        lambda: PointCloud(pts),
+        lambda: TriMesh(pts, np.array([[0, 1, 2]])),
+        lambda: KdTree(pts),
+        lambda: KdTree(good).query(pts, 1),
+        lambda: knn_brute_force(good, pts, 1),
+        lambda: patch_knn(pts[None], 3),
+        lambda: extract_patches(pts, 16),
+        lambda: farthest_point_sample(pts, 4),
+        lambda: build_graphs(pts, cfg),
+        lambda: build_graphs(pts.reshape(2, 20, 3), cfg),
+        lambda: forward(pts, init_weights(cfg)),
+        lambda: chamfer_distance(pts, good),
+        lambda: chamfer_distance(good, pts),
+        lambda: surface_sqdist(pts, Sphere()),
+        lambda: denoise(pts, init_weights(cfg), patch_size=16),
+    ]
+    for call in calls:
+        with pytest.raises(ArgumentError, match="non-finite"):
+            call()
 
 
 def test_normalize_round_trip():

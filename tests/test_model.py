@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.special import erf, expit
 
-import noisetrans.autodiff as ad
 from noisetrans.autodiff import Tape, Tensor
 from noisetrans.errors import ArgumentError, ContractError, FormatError
 from noisetrans.model import (
@@ -24,13 +23,6 @@ from noisetrans.model import (
     sparse_encoding,
 )
 from noisetrans.spatial import knn_brute_force
-
-
-@pytest.fixture(autouse=True)
-def f64():
-    ad.set_default_dtype(np.float64)
-    yield
-    ad.set_default_dtype(np.float64)
 
 
 def test_config_validation():

@@ -3,7 +3,6 @@ finite differences, and a reference re-implementation of the optimizer."""
 import numpy as np
 import pytest
 
-import noisetrans.autodiff as ad
 from noisetrans.autodiff import Tape, Tensor
 from noisetrans.errors import ArgumentError, ContractError, NumericError
 from noisetrans.geometry import Cube, Sphere, Torus, TriMesh
@@ -18,15 +17,10 @@ from noisetrans.objective import (
     loss_total,
     point_to_mesh,
     point_triangle_sqdist,
+    surface_sqdist,
 )
+from noisetrans.pipeline import evaluate_pairs
 from helpers import central_diff, rel_err
-
-
-@pytest.fixture(autouse=True)
-def f64():
-    ad.set_default_dtype(np.float64)
-    yield
-    ad.set_default_dtype(np.float64)
 
 
 def chamfer_brute(a, b):
@@ -106,6 +100,21 @@ def test_point_to_mesh_trimesh_and_analytic():
     assert abs(point_to_mesh(q, Sphere(1.0)) - 1.0) < 1e-15
     assert abs(point_to_mesh(q, Torus(1.0, 0.4)) - 0.36) < 1e-12
     assert abs(point_to_mesh(q, Cube(1.0)) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_surface_distances_refuse_non_finite_points(bad):
+    mesh = TriMesh(np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]]),
+                   np.array([[0, 1, 2]]))
+    pts = np.array([[bad, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    for surface in (Sphere(), Torus(), Cube(), mesh):
+        with pytest.raises(ArgumentError, match="non-finite"):
+            surface_sqdist(pts, surface)
+        with pytest.raises(ArgumentError, match="non-finite"):
+            point_to_mesh(pts, surface)
+    item = {"name": "s", "denoised": pts, "clean": np.eye(3), "surface": Sphere()}
+    with pytest.raises(ArgumentError, match="non-finite"):
+        evaluate_pairs([item])
 
 
 def test_point_to_mesh_mesh_agrees_with_analytic_cube():

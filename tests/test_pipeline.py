@@ -6,7 +6,6 @@ import os
 import numpy as np
 import pytest
 
-import noisetrans.autodiff as ad
 from noisetrans.errors import ArgumentError, ContractError
 from noisetrans.corruption import NoiseSpec
 from noisetrans.geometry import Sphere, read_pointcloud, sample_surface
@@ -23,13 +22,6 @@ from noisetrans.pipeline import (
     variant_name,
     write_report,
 )
-
-
-@pytest.fixture(autouse=True)
-def f64():
-    ad.set_default_dtype(np.float64)
-    yield
-    ad.set_default_dtype(np.float64)
 
 
 def small_dataset(tmp_path, count=2, n_points=64, seed=0, name="data"):
