@@ -91,6 +91,17 @@ def _model_config(resolved: dict) -> ModelConfig:
     )
 
 
+def _number(kind, key: str, raw):
+    """`raw` converted by `kind` (int or float); ArgumentError names the
+    option and the value when it does not convert."""
+    try:
+        return kind(raw)
+    except ValueError:
+        flag = "--" + key.replace("_", "-")
+        need = "an integer" if kind is int else "a number"
+        raise ArgumentError(f"{flag} needs {need}, got '{raw}'") from None
+
+
 def _set_precision(resolved: dict) -> None:
     ad.set_default_dtype(np.float32 if resolved["precision"] == "f32" else np.float64)
 
@@ -124,10 +135,10 @@ def cmd_make_dataset(args) -> int:
     level_range = None
     if ":" in level:
         lo, hi = level.split(":", 1)
-        level_range = (float(lo), float(hi))
-        base_level = float(lo)
+        level_range = (_number(float, "noise_level", lo), _number(float, "noise_level", hi))
+        base_level = level_range[0]
     else:
-        base_level = float(level)
+        base_level = _number(float, "noise_level", level)
     spec = NoiseSpec(distribution=r["noise"], level=base_level,
                      scale_reference=r["noise_ref"], seed=r["seed"])
     shapes = [s for s in str(r["shapes"]).split(",") if s]
@@ -181,14 +192,14 @@ def cmd_denoise(args) -> int:
     r = _resolve(args, defaults)
     if not r["infile"] or not r["weights"]:
         raise ArgumentError("--in and --weights are required")
+    if str(r["iterations"]) == "auto":
+        level = _number(float, "noise_level", r["noise_level"]) if r["noise_level"] else None
+        iterations = auto_iterations(level)
+    else:
+        iterations = _number(int, "iterations", r["iterations"])
     _set_precision(r)
     weights = load_weights(r["weights"])
     cloud = read_pointcloud(r["infile"])
-    if str(r["iterations"]) == "auto":
-        level = float(r["noise_level"]) if r["noise_level"] else None
-        iterations = auto_iterations(level)
-    else:
-        iterations = int(r["iterations"])
     out = denoise(cloud.coords, weights, iterations=iterations,
                   patch_size=int(r["patch_size"]), rotations=int(r["rotations"]))
     write_pointcloud(PointCloud(out), r["out"])

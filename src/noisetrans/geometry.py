@@ -9,7 +9,7 @@ external datasets.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,11 +62,12 @@ class PointCloud:
 
 @dataclass
 class TriMesh:
-    """Validated triangle mesh; degenerate faces are dropped on load."""
+    """Validated triangle mesh. Zero-area faces are dropped on construction
+    and counted in `dropped_degenerate`."""
 
     vertices: np.ndarray   # (V, 3)
     triangles: np.ndarray  # (T, 3) int
-    dropped_degenerate: int = 0
+    dropped_degenerate: int = field(default=0, init=False)
 
     def __post_init__(self):
         self.vertices = as_points(self.vertices, "vertices")
@@ -75,6 +76,13 @@ class TriMesh:
             raise ArgumentError(f"triangles must be (T, 3), got {self.triangles.shape}")
         if self.triangles.size and self.triangles.max() >= len(self.vertices):
             raise FormatError("triangle index exceeds vertex count")
+        c = self.triangle_corners()
+        cross = np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
+        keep = (cross * cross).sum(axis=1) > 0.0
+        self.dropped_degenerate = int((~keep).sum())
+        if self.dropped_degenerate:
+            log.warning("dropped %d degenerate triangle(s)", self.dropped_degenerate)
+            self.triangles = self.triangles[keep]
 
     def triangle_corners(self) -> np.ndarray:
         return self.vertices[self.triangles]  # (T, 3, 3)
@@ -198,7 +206,13 @@ def _read_ply(path, with_quality: bool = False):
             else:
                 raise FormatError(f"{path}:{lineno}: unsupported ply encoding '{parts[1]}'")
         elif parts[0] == "element":
-            elements.append((parts[1], int(parts[2]), []))
+            try:
+                count = int(parts[2])
+            except (IndexError, ValueError):
+                count = -1
+            if count < 0:
+                raise ParseError(f"{path}:{lineno}: expected 'element NAME COUNT'")
+            elements.append((parts[1], count, []))
         elif parts[0] == "property":
             if not elements:
                 raise ParseError(f"{path}:{lineno}: property before element")
@@ -232,7 +246,10 @@ def _read_ply(path, with_quality: bool = False):
             parts = body[i].split()
             if len(parts) < len(props):
                 raise ParseError(f"{path}: vertex {i}: expected {len(props)} values")
-            rows.append([float(v) for v in parts[: len(props)]])
+            try:
+                rows.append([float(v) for v in parts[: len(props)]])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{len(lines) + 1 + i}: vertex {i}: {exc}") from None
         table = np.asarray(rows)
         cols = {p: table[:, j] for j, (p, _) in enumerate(props)}
     else:
@@ -305,14 +322,7 @@ def load_mesh(path, fmt: str | None = None) -> TriMesh:
     tris = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
     if tris.size and tris.max() >= len(verts):
         raise ParseError(f"{path}: face references vertex {tris.max()} of {len(verts)}")
-    corners = verts[tris] if tris.size else np.zeros((0, 3, 3))
-    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    area2 = (cross * cross).sum(axis=1)
-    keep = area2 > 0.0
-    dropped = int((~keep).sum())
-    if dropped:
-        log.warning("%s: dropped %d degenerate triangle(s)", path, dropped)
-    return TriMesh(verts, tris[keep], dropped_degenerate=dropped)
+    return TriMesh(verts, tris)
 
 
 def _read_off(path):

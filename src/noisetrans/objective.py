@@ -2,10 +2,12 @@
 Adam optimizer with a halving learning-rate schedule."""
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -30,59 +32,117 @@ def chamfer_distance(s1, s2) -> float:
 
 def point_triangle_sqdist(p, tri) -> float:
     """Exact squared distance from a point to a closed triangle."""
-    p = np.asarray(p, dtype=np.float64).reshape(3)
+    p = np.asarray(p, dtype=np.float64).reshape(1, 3)
     tri = np.asarray(tri, dtype=np.float64).reshape(3, 3)
     cross = np.cross(tri[1] - tri[0], tri[2] - tri[0])
     if (cross * cross).sum() == 0.0:
         raise ArgumentError("degenerate triangle (zero area)")
-    return float(_points_to_triangle(p[None, :], tri[0], tri[1], tri[2])[0])
+    return float(_pair_sqdist(p, tri[None, 0], tri[None, 1], tri[None, 2])[0])
 
 
-def _points_to_segment(p, a, b):
+def _dot(u, v):
+    return (u * v).sum(axis=1)
+
+
+def _segment_sqdist(p, a, b):
     e = b - a
-    t = np.clip(((p - a) @ e) / (e @ e), 0.0, 1.0)
+    t = np.clip(_dot(p - a, e) / _dot(e, e), 0.0, 1.0)
     d = p - (a + t[:, None] * e)
-    return (d * d).sum(axis=1)
+    return _dot(d, d)
 
 
-def _points_to_triangle(p, a, b, c):
-    """Squared distance from many points to one triangle.
+def _pair_sqdist(p, a, b, c):
+    """Squared distance from each point p[i] to the triangle (a[i], b[i], c[i]).
 
     Projects onto the triangle plane; if the projection's barycentric
     coordinates are inside, the plane distance is the answer, otherwise the
-    closest point lies on one of the three edges.
+    closest point lies on one of the three edges. All arguments are (M, 3)
+    and the triangles must have nonzero area.
     """
     e0 = b - a
     e1 = c - a
     n = np.cross(e0, e1)
-    nn = n @ n
-    w = p - a
-    dist_plane = (w @ n) / np.sqrt(nn)
-    proj = p - dist_plane[:, None] * (n / np.sqrt(nn))
+    norm = np.sqrt(_dot(n, n))
+    dist_plane = _dot(p - a, n) / norm
     # barycentric coordinates of the projection
-    v = proj - a
-    d00 = e0 @ e0
-    d01 = e0 @ e1
-    d11 = e1 @ e1
-    d20 = v @ e0
-    d21 = v @ e1
+    v = p - dist_plane[:, None] * (n / norm[:, None]) - a
+    d00 = _dot(e0, e0)
+    d01 = _dot(e0, e1)
+    d11 = _dot(e1, e1)
+    d20 = _dot(v, e0)
+    d21 = _dot(v, e1)
     denom = d00 * d11 - d01 * d01
     s = (d11 * d20 - d01 * d21) / denom
     t = (d00 * d21 - d01 * d20) / denom
     inside = (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0)
     edge = np.minimum(
-        _points_to_segment(p, a, b),
-        np.minimum(_points_to_segment(p, b, c), _points_to_segment(p, c, a)),
+        _segment_sqdist(p, a, b),
+        np.minimum(_segment_sqdist(p, b, c), _segment_sqdist(p, c, a)),
     )
     return np.where(inside, dist_plane * dist_plane, edge)
+
+
+# (point, triangle) pairs per candidate list and per kernel call: bounds the
+# temporaries when every triangle is a candidate, as for points far from a
+# small mesh
+_PAIR_BLOCK = 1 << 18
+# widening of each point's search radius, as a share of the lengths in play
+# (its bound, its coordinates' magnitude, the largest triangle): far above the
+# rounding of the bound, of the sphere test and of the kernel, which grows
+# with those lengths, so that no rounding can drop the scan's minimiser
+_SLACK = 1e-6
+
+
+def _mesh_sqdist(pts, mesh: TriMesh) -> np.ndarray:
+    """Per-point minimum of `_pair_sqdist` over the triangles that can hold it.
+
+    The distance to the nearest vertex or triangle centroid bounds each
+    point's distance from above (`reach`). A triangle whose bounding sphere
+    (centroid, farthest corner) lies farther than `reach` cannot hold the
+    minimum, so only the remaining pairs are evaluated. Cost: two KD-trees
+    over the mesh plus the candidate pairs, not points x triangles.
+    """
+    corners = mesh.triangle_corners()
+    centres = corners.mean(axis=1)
+    radii = np.sqrt(((corners - centres[:, None]) ** 2).sum(axis=2)).max(axis=1)
+    on_mesh = np.concatenate([mesh.vertices[np.unique(mesh.triangles)], centres])
+    ub = cKDTree(on_mesh).query(pts)[0]
+    scale = np.abs(pts).max(axis=1) + np.abs(on_mesh).max() + radii.max()
+    reach = ub + _SLACK * (ub + scale)
+    # every centre the sphere test below can keep, whatever the tree's rounding
+    radius = (reach + radii.max()) * (1.0 + _SLACK)
+    tree = cKDTree(centres)
+    bounds = np.concatenate([[0], np.cumsum(tree.query_ball_point(pts, radius,
+                                                                  return_length=True))])
+    best = np.full(len(pts), np.inf)
+    start = 0
+    while start < len(pts):
+        # consecutive points whose candidate lists hold at most _PAIR_BLOCK
+        # pairs together, and at least one point
+        stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + _PAIR_BLOCK,
+                                                  side="right")) - 1)
+        lists = tree.query_ball_point(pts[start:stop], radius[start:stop])
+        lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+        pi = np.repeat(np.arange(start, stop), lengths)
+        ti = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
+                         count=int(lengths.sum()))
+        gap = pts[pi] - centres[ti]
+        keep = np.sqrt(_dot(gap, gap)) - radii[ti] <= reach[pi]
+        pi, ti = pi[keep], ti[keep]
+        for lo in range(0, len(pi), _PAIR_BLOCK):
+            p, t = pi[lo:lo + _PAIR_BLOCK], ti[lo:lo + _PAIR_BLOCK]
+            tri = corners[t]
+            np.minimum.at(best, p, _pair_sqdist(pts[p], tri[:, 0], tri[:, 1], tri[:, 2]))
+        start = stop
+    return best
 
 
 def surface_sqdist(cloud, surface) -> np.ndarray:
     """(N,) squared distance from each point to a surface.
 
-    The surface may be a TriMesh (minimum over triangles) or an analytic
-    sphere / torus / cube (closed-form distance). Caller guarantees both live
-    in the same frame.
+    The surface may be a TriMesh (minimum over triangles, searched among the
+    triangles near each point) or an analytic sphere / torus / cube
+    (closed-form distance). Caller guarantees both live in the same frame.
     """
     pts = as_points(getattr(cloud, "coords", cloud), "cloud", nonempty=True)
     if isinstance(surface, (Sphere, Torus, Cube)):
@@ -90,10 +150,7 @@ def surface_sqdist(cloud, surface) -> np.ndarray:
     if isinstance(surface, TriMesh):
         if len(surface.triangles) == 0:
             raise ArgumentError("mesh has no triangles")
-        best = np.full(len(pts), np.inf)
-        for tri in surface.triangle_corners():
-            best = np.minimum(best, _points_to_triangle(pts, tri[0], tri[1], tri[2]))
-        return best
+        return _mesh_sqdist(pts, surface)
     raise ArgumentError(f"unsupported surface type {type(surface).__name__}")
 
 

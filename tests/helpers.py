@@ -84,6 +84,57 @@ def sampled_triangle_dist(p: np.ndarray, tri: np.ndarray) -> float:
     return float(np.sqrt(best))
 
 
+def _dot(u, v):
+    return (u * v).sum(axis=-1)
+
+
+def _scan_segment(p, a, b):
+    e = b - a
+    t = np.clip(_dot(p - a, e) / _dot(e, e), 0.0, 1.0)
+    d = p - (a + t[:, None] * e)
+    return _dot(d, d)
+
+
+def _scan_triangle(p, a, b, c):
+    """Squared distance from many points to one triangle: the projection's
+    barycentric coordinates pick the plane distance or the nearest edge."""
+    e0 = b - a
+    e1 = c - a
+    n = np.cross(e0, e1)
+    nn = _dot(n, n)
+    w = p - a
+    dist_plane = _dot(w, n) / np.sqrt(nn)
+    proj = p - dist_plane[:, None] * (n / np.sqrt(nn))
+    v = proj - a
+    d00 = _dot(e0, e0)
+    d01 = _dot(e0, e1)
+    d11 = _dot(e1, e1)
+    d20 = _dot(v, e0)
+    d21 = _dot(v, e1)
+    denom = d00 * d11 - d01 * d01
+    s = (d11 * d20 - d01 * d21) / denom
+    t = (d00 * d21 - d01 * d20) / denom
+    inside = (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0)
+    edge = np.minimum(
+        _scan_segment(p, a, b),
+        np.minimum(_scan_segment(p, b, c), _scan_segment(p, c, a)),
+    )
+    return np.where(inside, dist_plane * dist_plane, edge)
+
+
+def scan_surface_sqdist(points, mesh) -> np.ndarray:
+    """(N,) squared point-to-mesh distances by scanning every triangle.
+
+    The oracle for the pruned search in `objective.surface_sqdist`: the same
+    per-pair arithmetic (row-wise dot products), no spatial pruning.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    best = np.full(len(pts), np.inf)
+    for tri in mesh.triangle_corners():
+        best = np.minimum(best, _scan_triangle(pts, tri[0], tri[1], tri[2]))
+    return best
+
+
 def rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

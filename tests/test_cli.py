@@ -162,6 +162,36 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ascii_ply_with_bad_numbers_exits_3(tmp_path, capsys):
+    head = "ply\nformat ascii 1.0\n"
+    props = "property float x\nproperty float y\nproperty float z\nend_header\n"
+    cases = {
+        "count.ply": (head + "element vertex x\n" + props + "0 0 0\n", ":3:"),
+        "value.ply": (head + "element vertex 2\n" + props + "0 0 0\n1 abc 0\n", ":9:"),
+    }
+    for name, (text, line) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert run(["eval", "--denoised", path, "--clean", path, "--surface", "sphere"]) == 3
+        assert f"error: {path}{line}" in capsys.readouterr().err
+
+
+def test_numeric_flags_that_do_not_convert_exit_2(tiny_dataset, tmp_path, capsys):
+    noisy = tiny_dataset.parent / "shape_000_sphere_noisy.xyz"
+    weights = tmp_path / "w.ntw"
+    save_weights(init_weights(desk_config()), weights)
+    assert run(["denoise", "--in", noisy, "--weights", weights,
+                "--iterations", "abc"]) == 2
+    assert "error: --iterations needs an integer, got 'abc'" in capsys.readouterr().err
+    assert run(["denoise", "--in", noisy, "--weights", weights,
+                "--noise-level", "abc"]) == 2
+    assert "error: --noise-level needs a number, got 'abc'" in capsys.readouterr().err
+    for level in ("abc", "0.01:x", "x:0.04"):
+        assert run(["make-dataset", "--shapes", "sphere", "--points", 32,
+                    "--noise-level", level, "--out", tmp_path / "ds"]) == 2
+        assert "error: --noise-level needs a number" in capsys.readouterr().err
+
+
 def test_os_decode_and_config_value_errors_exit_3(tiny_dataset, tmp_path, capsys):
     # a directory where a file belongs, for the weights and for the manifest
     assert run(["denoise", "--in", tmp_path, "--weights", tmp_path]) == 3

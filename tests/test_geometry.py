@@ -239,6 +239,17 @@ def test_off_degenerate_faces_dropped(tmp_path):
     assert mesh.dropped_degenerate == 1
 
 
+def test_zero_area_faces_are_dropped_by_the_mesh_itself():
+    verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0.5, 0.5, 1.0], [2.0, 0, 0]])
+    # a repeated corner, and three distinct but collinear corners
+    mesh = TriMesh(verts, np.array([[0, 1, 2], [3, 3, 3], [0, 1, 4]]))
+    assert mesh.triangles.tolist() == [[0, 1, 2]]
+    assert mesh.dropped_degenerate == 2
+    # vertex 3 now lies on no face, so it bounds no distance
+    d = surface_sqdist(np.array([[0.5, 0.5, 1.0], [3.0, 0.0, 0.0]]), mesh)
+    assert d.tolist() == [1.0, 4.0]
+
+
 def test_off_truncated(tmp_path):
     p = tmp_path / "t.off"
     p.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n")

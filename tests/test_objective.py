@@ -1,11 +1,14 @@
 """Metrics against brute-force / dense-sampling oracles, loss gradients by
 finite differences, and a reference re-implementation of the optimizer."""
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 from noisetrans.autodiff import Tape, Tensor
 from noisetrans.errors import ArgumentError, ContractError, NumericError
-from noisetrans.geometry import Cube, Sphere, Torus, TriMesh
+from noisetrans.geometry import Cube, Sphere, Torus, TriMesh, load_mesh
 from noisetrans.model import desk_config, init_weights
 from noisetrans.objective import (
     Adam,
@@ -20,7 +23,8 @@ from noisetrans.objective import (
     surface_sqdist,
 )
 from noisetrans.pipeline import evaluate_pairs
-from helpers import central_diff, rel_err
+import noisetrans.objective
+from helpers import central_diff, rel_err, scan_surface_sqdist
 
 
 def chamfer_brute(a, b):
@@ -119,23 +123,98 @@ def test_surface_distances_refuse_non_finite_points(bad):
 
 def test_point_to_mesh_mesh_agrees_with_analytic_cube():
     # a finely specified cube mesh should approximate the analytic cube field
-    from noisetrans.geometry import load_mesh
-    import os, tempfile
-    off = (
-        "OFF\n8 6 12\n-1 -1 -1\n1 -1 -1\n1 1 -1\n-1 1 -1\n"
-        "-1 -1 1\n1 -1 1\n1 1 1\n-1 1 1\n"
-        "4 0 1 2 3\n4 4 7 6 5\n4 0 4 5 1\n4 1 5 6 2\n4 2 6 7 3\n4 3 7 4 0\n"
-    )
-    with tempfile.TemporaryDirectory() as d:
-        p = os.path.join(d, "cube.off")
-        with open(p, "w") as fh:
-            fh.write(off)
-        mesh = load_mesh(p)
+    mesh = load_mesh_text(OFF_CUBE)
     rng = np.random.default_rng(3)
     pts = rng.uniform(-2, 2, (50, 3))
     a = point_to_mesh(pts, mesh)
     b = point_to_mesh(pts, Cube(1.0))
     assert abs(a - b) < 1e-12
+
+
+OFF_CUBE = (
+    "OFF\n8 6 12\n-1 -1 -1\n1 -1 -1\n1 1 -1\n-1 1 -1\n"
+    "-1 -1 1\n1 -1 1\n1 1 1\n-1 1 1\n"
+    "4 0 1 2 3\n4 4 7 6 5\n4 0 4 5 1\n4 1 5 6 2\n4 2 6 7 3\n4 3 7 4 0\n"
+)
+OCTAHEDRON = TriMesh(
+    np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]),
+    np.array([[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4],
+              [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]]))
+
+
+def load_mesh_text(text):
+    with tempfile.TemporaryDirectory() as d:
+        p = os.path.join(d, "m.off")
+        with open(p, "w") as fh:
+            fh.write(text)
+        return load_mesh(p)
+
+
+def jittered_torus(rng, nu=16, nv=10):
+    """A torus grid with jittered vertices: triangles of uneven size."""
+    u, v = np.meshgrid(np.arange(nu) * 2 * np.pi / nu, np.arange(nv) * 2 * np.pi / nv,
+                       indexing="ij")
+    ring = 1.0 + 0.4 * np.cos(v)
+    verts = np.stack([ring * np.cos(u), ring * np.sin(u), 0.4 * np.sin(v)], -1).reshape(-1, 3)
+    verts += rng.uniform(-0.03, 0.03, verts.shape)
+    i, j = (m.ravel() for m in np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij"))
+    p, q = i * nv + j, ((i + 1) % nu) * nv + j
+    p1, q1 = i * nv + (j + 1) % nv, ((i + 1) % nu) * nv + (j + 1) % nv
+    return TriMesh(verts, np.concatenate([np.stack([p, q, q1], 1), np.stack([p, q1, p1], 1)]))
+
+
+def on_and_near(mesh, rng, n=60):
+    """Vertices, points on edges and inside faces, and points near the surface."""
+    c = mesh.triangle_corners()
+    t = rng.integers(0, len(c), n)
+    w = rng.uniform(0, 1, (n, 1))
+    edges = c[t, 0] + w * (c[t, 1] - c[t, 0])
+    bary = rng.dirichlet(np.ones(3), n)
+    faces = (bary[:, :, None] * c[t]).sum(axis=1)
+    near = faces + rng.normal(0, 0.05, faces.shape)
+    return np.concatenate([mesh.vertices, edges, faces, near])
+
+
+def oracle_cases():
+    rng = np.random.default_rng(21)
+    torus = jittered_torus(rng)
+    tri = TriMesh(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.2, 0.9, 0.1]]), np.array([[0, 1, 2]]))
+    doubled = TriMesh(torus.vertices, np.concatenate([torus.triangles,
+                                                      torus.triangles[:, ::-1]]))
+    off_cube = load_mesh_text(OFF_CUBE)
+    octa_pts = np.random.default_rng(13).uniform(-1.5, 1.5, (40, 3))
+    far = rng.standard_normal((50, 3))
+    far *= 100 * 2.8 / np.linalg.norm(far, axis=1, keepdims=True)
+    return {
+        "torus on vertices, edges, faces": (torus, on_and_near(torus, rng)),
+        "duplicated triangles": (doubled, on_and_near(torus, rng)),
+        "single triangle": (tri, np.concatenate([on_and_near(tri, rng),
+                                                 rng.uniform(-2, 2, (40, 3))])),
+        "coarse OFF cube": (off_cube, np.concatenate([on_and_near(off_cube, rng),
+                                                      rng.uniform(-2, 2, (60, 3))])),
+        "100x the mesh size away": (torus, far),
+        "float32 points": (torus, on_and_near(torus, rng).astype(np.float32)),
+        "octahedron": (OCTAHEDRON, octa_pts),
+    }
+
+
+@pytest.mark.parametrize("case", list(oracle_cases()))
+def test_pruned_mesh_distance_equals_the_scan_bitwise(case):
+    mesh, pts = oracle_cases()[case]
+    with np.errstate(all="raise"):
+        got = surface_sqdist(pts, mesh)
+    assert np.array_equal(got, scan_surface_sqdist(pts, mesh))
+    if len(mesh.triangles) == 1:
+        tri = mesh.triangle_corners()[0]
+        assert np.array_equal(got, [point_triangle_sqdist(p, tri) for p in pts])
+
+
+def test_pair_blocks_of_a_few_pairs_give_the_same_distances(monkeypatch):
+    cases = oracle_cases()
+    whole = {name: surface_sqdist(pts, mesh) for name, (mesh, pts) in cases.items()}
+    monkeypatch.setattr(noisetrans.objective, "_PAIR_BLOCK", 5)
+    for name, (mesh, pts) in cases.items():
+        assert np.array_equal(surface_sqdist(pts, mesh), whole[name]), name
 
 
 def test_loss_cd_gradient_finite_difference():
