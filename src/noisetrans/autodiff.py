@@ -38,15 +38,11 @@ def default_dtype() -> np.dtype:
 _TAPE_STACK: list["Tape"] = []
 
 
-def _active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 class Tape:
     """Ordered record of executed ops; backward replays it in reverse."""
 
     def __init__(self):
-        # entries are (op_name, output_tensor, input_tensors, pull_fn)
+        # entries are (op_name, output_tensor, input_tensors, backward_fn)
         self._records = []
 
     def __enter__(self):
@@ -77,9 +73,9 @@ class Tape:
         for _, out, _, _ in self._records:
             out.grad = None
         loss.grad = np.ones_like(loss.data)
-        for _, out, _, pull in reversed(self._records):
+        for _, out, _, bw in reversed(self._records):
             if out.grad is not None:
-                pull()
+                bw(out.grad)
         produced = {id(out) for _, out, _, _ in self._records}
         leaves = {id(t): (name, t) for name, _, inputs, _ in self._records
                   for t in inputs if t.requires_grad and id(t) not in produced}
@@ -157,30 +153,36 @@ def first_non_finite_grad(named):
     return None
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add g to t.grad, if t requires one; a backward with several inputs
+    tests that before it computes g. `fresh` says g is a new array that
+    nothing else holds, so it can become t.grad without a copy."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
+        if fresh and g.dtype == t.data.dtype:
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += np.asarray(g, dtype=t.data.dtype)
 
 
 def _record(name: str, out: Tensor, inputs, backward) -> Tensor:
-    tape = _active_tape()
-    if tape is None or not any(t.requires_grad for t in inputs):
+    if not _TAPE_STACK:
         return out
-    out.requires_grad = True
-
-    def pull():
-        backward(out.grad)
-
-    tape._records.append((name, out, inputs, pull))
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            _TAPE_STACK[-1]._records.append((name, out, inputs, backward))
+            break
     return out
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum a broadcast gradient back down to `shape`."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra:
         g = g.sum(axis=tuple(range(extra)))
@@ -199,8 +201,10 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
 
     return _record("add", out, (a, b), bw)
 
@@ -210,8 +214,10 @@ def sub(a, b) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.shape))
 
     return _record("sub", out, (a, b), bw)
 
@@ -221,8 +227,10 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape), fresh=True)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _record("mul", out, (a, b), bw)
 
@@ -236,13 +244,18 @@ def matmul(a, b) -> Tensor:
     out = Tensor(np.matmul(a.data, b.data))
 
     def bw(g):
-        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape), fresh=True)
+        if not b.requires_grad:
+            return
         if b.ndim == 2 and a.ndim > 2:
-            # shared-weight case: one tensordot beats batched matmul + sum
+            # shared-weight case: one matrix product over all leading axes,
+            # laid out as np.tensordot(a, g, (lead, lead)) lays it out
             lead = tuple(range(a.ndim - 1))
-            _accum(b, np.tensordot(a.data, g, axes=(lead, lead)))
+            at = a.data.transpose((a.ndim - 1,) + lead).reshape(a.shape[-1], -1)
+            _accum(b, np.dot(at, g.reshape(-1, g.shape[-1])), fresh=True)
         else:
-            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+            _accum(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape), fresh=True)
 
     return _record("matmul", out, (a, b), bw)
 
@@ -257,7 +270,7 @@ def relu(x) -> Tensor:
     out = Tensor(np.where(mask, x.data, 0.0))
 
     def bw(g):
-        _accum(x, np.where(mask, g, 0.0))
+        _accum(x, np.where(mask, g, 0.0), fresh=True)
 
     return _record("relu", out, (x,), bw)
 
@@ -268,7 +281,7 @@ def sigmoid(x) -> Tensor:
     out = Tensor(s)
 
     def bw(g):
-        _accum(x, g * s * (1.0 - s))
+        _accum(x, g * s * (1.0 - s), fresh=True)
 
     return _record("sigmoid", out, (x,), bw)
 
@@ -281,7 +294,7 @@ def gelu(x) -> Tensor:
 
     def bw(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        _accum(x, g * (cdf + x.data * pdf))
+        _accum(x, g * (cdf + x.data * pdf), fresh=True)
 
     return _record("gelu", out, (x,), bw)
 
@@ -301,6 +314,12 @@ def softmax(x, axis: int = -1) -> Tensor:
     return _record("softmax", out, (x,), bw)
 
 
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True) without the wrapper's overhead: the
+    same left-to-right sum divided by the count."""
+    return np.true_divide(np.add.reduce(a, axis=-1, keepdims=True), a.shape[-1])
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
@@ -309,21 +328,21 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ArgumentError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match last axis {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = _mean_last(x.data)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = _mean_last(xc * xc)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = Tensor(gain.data * xhat + bias.data)
 
     def bw(g):
         lead = tuple(range(g.ndim - 1))
-        _accum(gain, (g * xhat).sum(axis=lead))
-        _accum(bias, g.sum(axis=lead))
+        _accum(gain, np.add.reduce(g * xhat, axis=lead))
+        _accum(bias, np.add.reduce(g, axis=lead))
         gg = g * gain.data
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv * (gg - m1 - xhat * m2))
+        m1 = _mean_last(gg)
+        m2 = _mean_last(gg * xhat)
+        _accum(x, inv * (gg - m1 - xhat * m2), fresh=True)
 
     return _record("layer_norm", out, (x, gain, bias), bw)
 
@@ -346,12 +365,12 @@ def gather_rows(x, idx) -> Tensor:
     out = Tensor(x.data[idx])
 
     def bw(g):
-        flat = idx.reshape(-1)
-        g2 = g.reshape(-1, x.shape[1])
-        gx = np.empty_like(x.data)
-        for j in range(x.shape[1]):  # bincount per column is much faster than add.at
-            gx[:, j] = np.bincount(flat, weights=g2[:, j], minlength=n)
-        _accum(x, gx)
+        # one bincount over (row, column) bins, much faster than np.add.at;
+        # each bin sums its terms in the order they come
+        d = x.shape[1]
+        bins = (idx.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+        gx = np.bincount(bins, weights=g.reshape(-1), minlength=n * d).reshape(n, d)
+        _accum(x, gx, fresh=True)
 
     return _record("gather_rows", out, (x,), bw)
 
@@ -364,12 +383,12 @@ def _check_axis(x: Tensor, axis: int, name: str) -> int:
 
 def reduce_max(x, axis: int) -> Tensor:
     """Max along axis; gradient routed to the first attaining index."""
-    return _reduce_extreme(x, axis, np.max, np.argmax, "reduce_max")
+    return _reduce_extreme(x, axis, np.maximum.reduce, np.argmax, "reduce_max")
 
 
 def reduce_min(x, axis: int) -> Tensor:
     """Min along axis; gradient routed to the first attaining index."""
-    return _reduce_extreme(x, axis, np.min, np.argmin, "reduce_min")
+    return _reduce_extreme(x, axis, np.minimum.reduce, np.argmin, "reduce_min")
 
 
 def _reduce_extreme(x, axis, reducer, arg_reducer, name) -> Tensor:
@@ -380,13 +399,12 @@ def _reduce_extreme(x, axis, reducer, arg_reducer, name) -> Tensor:
     out = Tensor(reducer(x.data, axis=axis))
 
     def bw(g):
-        # the argument is only needed when a tape replays this op
-        arg = arg_reducer(x.data, axis=axis)
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(
-            gx, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis
-        )
-        _accum(x, gx)
+        # the argument is only needed when a tape replays this op; g lands
+        # where the position along `axis` is the argument, 0 elsewhere
+        keep = x.shape[:axis] + (1,) + x.shape[axis + 1:]
+        along = np.arange(x.shape[axis]).reshape((-1,) + (1,) * (x.ndim - axis - 1))
+        hit = arg_reducer(x.data, axis=axis).reshape(keep) == along
+        _accum(x, np.where(hit, g.reshape(keep), 0.0), fresh=True)
 
     return _record(name, out, (x,), bw)
 
@@ -420,19 +438,19 @@ def concat(tensors, axis: int = 0) -> Tensor:
         raise ArgumentError("concat of an empty list")
     ref = tensors[0]
     axis = _check_axis(ref, axis, "concat")
+    rest = ref.shape[:axis] + ref.shape[axis + 1:]
     for t in tensors[1:]:
-        if t.ndim != ref.ndim or any(
-            i != axis and t.shape[i] != ref.shape[i] for i in range(ref.ndim)
-        ):
+        if t.ndim != ref.ndim or t.shape[:axis] + t.shape[axis + 1:] != rest:
             raise ArgumentError(
                 f"concat: shape {t.shape} incompatible with {ref.shape} on axis {axis}"
             )
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    offsets = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    ends = np.cumsum([t.shape[axis] for t in tensors]).tolist()
+    lead = (slice(None),) * axis
 
     def bw(g):
-        for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
-            _accum(t, piece)
+        for t, end in zip(tensors, ends):
+            _accum(t, g[lead + (slice(end - t.shape[axis], end),)])
 
     return _record("concat", out, tuple(tensors), bw)
 
@@ -480,8 +498,10 @@ def pairwise_sqdist(a, b) -> Tensor:
     out = Tensor((diff * diff).sum(axis=-1))
 
     def bw(g):
-        _accum(a, 2.0 * np.einsum("ij,ijk->ik", g, diff))
-        _accum(b, -2.0 * np.einsum("ij,ijk->jk", g, diff))
+        if a.requires_grad:
+            _accum(a, 2.0 * np.einsum("ij,ijk->ik", g, diff))
+        if b.requires_grad:
+            _accum(b, -2.0 * np.einsum("ij,ijk->jk", g, diff))
 
     return _record("pairwise_sqdist", out, (a, b), bw)
 

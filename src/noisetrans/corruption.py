@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DegenerateError
-from .geometry import PointCloud
+from .geometry import PointCloud, centroid_radius
 
 DISTRIBUTIONS = ("gaussian", "laplace", "uniform")
 SCALE_REFERENCES = ("bounding_sphere_radius", "bounding_box_diagonal")
@@ -43,8 +43,7 @@ def reference_length(cloud: PointCloud, scale_reference: str) -> float:
     """Max centroid distance (bounding sphere) or bounding-box diagonal."""
     coords = cloud.coords
     if scale_reference == "bounding_sphere_radius":
-        centered = coords - coords.mean(axis=0)
-        return float(np.sqrt((centered * centered).sum(axis=1).max()))
+        return centroid_radius(coords)[1]
     if scale_reference == "bounding_box_diagonal":
         span = coords.max(axis=0) - coords.min(axis=0)
         return float(np.sqrt((span * span).sum()))

@@ -74,8 +74,9 @@ class TriMesh:
         self.triangles = np.asarray(self.triangles, dtype=np.int64)
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ArgumentError(f"triangles must be (T, 3), got {self.triangles.shape}")
-        if self.triangles.size and self.triangles.max() >= len(self.vertices):
-            raise FormatError("triangle index exceeds vertex count")
+        if self.triangles.size and not (
+                0 <= self.triangles.min() <= self.triangles.max() < len(self.vertices)):
+            raise FormatError(f"triangle index outside 0..{len(self.vertices) - 1}")
         c = self.triangle_corners()
         cross = np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
         keep = (cross * cross).sum(axis=1) > 0.0
@@ -97,15 +98,20 @@ class TriMesh:
 # normalization
 # ---------------------------------------------------------------------------
 
-def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
-    """Center at the centroid and scale so max ||p|| = 1; records the frame."""
-    coords = cloud.coords
+def centroid_radius(coords: np.ndarray) -> tuple[np.ndarray, float]:
+    """The centroid of (N, 3) coordinates and their largest distance from it,
+    the unit-sphere frame; each caller decides what a zero radius means."""
     center = coords.mean(axis=0)
     centered = coords - center
-    scale = float(np.sqrt((centered * centered).sum(axis=1).max()))
+    return center, float(np.sqrt((centered * centered).sum(axis=1).max()))
+
+
+def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
+    """Center at the centroid and scale so max ||p|| = 1; records the frame."""
+    center, scale = centroid_radius(cloud.coords)
     if scale == 0.0:
         raise DegenerateError("all points coincide; unit-sphere scale is zero")
-    return PointCloud(centered / scale, center=center, scale=scale)
+    return PointCloud((cloud.coords - center) / scale, center=center, scale=scale)
 
 
 def denormalize(cloud: PointCloud) -> PointCloud:
@@ -198,6 +204,10 @@ def _read_ply(path, with_quality: bool = False):
         parts = line.split()
         if not parts or parts[0] == "comment":
             continue
+        fields = {"format": 2, "element": 3,
+                  "property": 5 if parts[1:2] == ["list"] else 3}.get(parts[0], 1)
+        if len(parts) < fields:
+            raise ParseError(f"{path}:{lineno}: too few fields in '{parts[0]}' line")
         if parts[0] == "format":
             if parts[1] == "ascii":
                 encoding = "ascii"
@@ -208,7 +218,7 @@ def _read_ply(path, with_quality: bool = False):
         elif parts[0] == "element":
             try:
                 count = int(parts[2])
-            except (IndexError, ValueError):
+            except ValueError:
                 count = -1
             if count < 0:
                 raise ParseError(f"{path}:{lineno}: expected 'element NAME COUNT'")
@@ -222,8 +232,6 @@ def _read_ply(path, with_quality: bool = False):
                 if parts[1] not in _PLY_SIZES:
                     raise ParseError(f"{path}:{lineno}: unknown property type '{parts[1]}'")
                 elements[-1][2].append((parts[-1], _PLY_SIZES[parts[1]]))
-        elif parts[0] == "end_header":
-            break
     if encoding is None:
         raise ParseError(f"{path}: ply header has no format line")
     if not elements or elements[0][0] != "vertex":

@@ -199,7 +199,12 @@ def loss_total(y: Tensor, gt, x, alpha: float = 0.9, beta: float = 0.1,
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Bias-corrected adaptive updates with lr halved every `halve_every` epochs."""
+    """Bias-corrected adaptive updates with lr halved every `halve_every` epochs.
+
+    The moments of all parameters live in one flat vector each, so a step
+    is a few whole-vector operations into reused buffers; `m[name]` and
+    `v[name]` are views into them. Every operation is elementwise, so the
+    result is that of a per-parameter update."""
 
     def __init__(self, weights: ModelWeights, base_lr: float = 5e-4,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
@@ -210,35 +215,65 @@ class Adam:
         self.eps = float(eps)
         self.halve_every = int(halve_every)
         self.step_count = 0
-        self.m = {n: np.zeros_like(t.data) for n, t in weights.params.items()}
-        self.v = {n: np.zeros_like(t.data) for n, t in weights.params.items()}
+        dtype = np.result_type(*{t.data.dtype for t in weights.params.values()})
+        self._set_moments(np.zeros(2 * weights.n_params(), dtype=dtype))
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def _set_moments(self, flat: np.ndarray) -> None:
+        """Point m and v at the halves of `flat`, parameters in order."""
+        half = len(flat) // 2
+        self._m, self._v = flat[:half], flat[half:]
+        self._spans = {}
+        self.m, self.v = {}, {}
+        start = 0
+        for name, t in self.weights.params.items():
+            span = slice(start, start + t.size)
+            self._spans[name] = span
+            self.m[name] = self._m[span].reshape(t.shape)
+            self.v[name] = self._v[span].reshape(t.shape)
+            start = span.stop
+
+    def _buffer(self, key: str, like: np.ndarray) -> np.ndarray:
+        """A scratch array shaped and typed like `like`, kept between steps
+        (fresh arrays of this size cost a page fault per page)."""
+        buf = self._buffers.get(key)
+        if buf is None or buf.dtype != like.dtype:
+            buf = self._buffers[key] = np.empty_like(like)
+        return buf
 
     def lr_at(self, epoch: int) -> float:
         return self.base_lr * 0.5 ** (epoch // self.halve_every)
 
     def step(self, epoch: int = 0) -> None:
         """Apply one update from the grads currently on the weights."""
-        bad = ad.first_non_finite_grad(self.weights.params.items())
-        if bad is not None:
+        params = self.weights.params
+        g = np.concatenate([t.grad.ravel() if t.grad is not None
+                            else np.zeros(t.size, dtype=t.data.dtype)
+                            for t in params.values()])
+        if not np.isfinite(g).all():
+            bad = ad.first_non_finite_grad(params.items())
             raise NumericError(f"non-finite gradient for parameter '{bad}'; step refused")
-        grads = {name: t.grad if t.grad is not None else np.zeros_like(t.data)
-                 for name, t in self.weights.params.items()}
         b1, b2 = self.betas
         self.step_count += 1
         t = self.step_count
         lr = self.lr_at(epoch)
         corr1 = 1.0 - b1 ** t
         corr2 = 1.0 - b2 ** t
-        for name, g in grads.items():
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            mhat = m / corr1
-            vhat = v / corr2
-            self.weights[name].data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+        m, v = self._m, self._v
+        g_tmp = self._buffer("g", g)
+        update, denom = self._buffer("update", m), self._buffer("denom", m)
+        # update = lr * (m / corr1) / (sqrt(v / corr2) + eps), op by op
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=g_tmp)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=g_tmp)
+        v += np.multiply(g_tmp, g, out=g_tmp)
+        np.multiply(np.divide(m, corr1, out=update), lr, out=update)
+        np.sqrt(np.divide(v, corr2, out=denom), out=denom)
+        denom += self.eps
+        update /= denom
+        for name, span in self._spans.items():
+            params[name].data -= update[span].reshape(params[name].shape)
 
     # checkpoint support -----------------------------------------------------
     def state_bytes(self) -> bytes:
@@ -249,20 +284,20 @@ class Adam:
         return b"".join(parts)
 
     def load_state_bytes(self, blob: bytes) -> None:
-        self.step_count = int.from_bytes(blob[:8], "little")
-        pos = 8
-        for name in self.weights.names():
-            n = self.m[name].size
-            for store in (self.m, self.v):
-                end = pos + 8 * n
-                if end > len(blob):
-                    raise ContractError("optimizer state truncated")
-                store[name] = np.frombuffer(blob[pos:end], dtype="<f8").reshape(
-                    store[name].shape
-                ).copy()
-                pos = end
-        if pos != len(blob):
+        """Restore step count and moments (float64 from here on) from the
+        state_bytes layout: per parameter, m then v."""
+        size = 8 + 16 * self.weights.n_params()
+        if len(blob) < size:
+            raise ContractError("optimizer state truncated")
+        if len(blob) > size:
             raise ContractError("optimizer state has trailing bytes")
+        data = np.frombuffer(blob, dtype="<f8", offset=8)
+        ms, vs = [], []
+        for span in self._spans.values():
+            ms.append(data[2 * span.start:span.start + span.stop])
+            vs.append(data[span.start + span.stop:2 * span.stop])
+        self._set_moments(np.concatenate(ms + vs).astype(np.float64))
+        self.step_count = int.from_bytes(blob[:8], "little")
 
 
 # ---------------------------------------------------------------------------

@@ -166,11 +166,10 @@ def build_training_pairs(manifest_path, patch_size: int, cfg: ModelConfig) -> li
         noisy = read_pointcloud(os.path.join(base, entry["noisy"]))
         clean = read_pointcloud(os.path.join(base, entry["clean"]))
         patches = extract_patches(noisy.coords, patch_size)
-        clean_tree = KdTree(clean.coords)
+        gt_idx, _ = KdTree(clean.coords).query(noisy.coords, 1)  # all patches share it
         for patch in patches:
-            members_world = noisy.coords[patch.member_indices]
-            gt_idx, _ = clean_tree.query(members_world, 1)
-            gt_local = (clean.coords[gt_idx[:, 0]] - patch.center) / patch.scale
+            gt_world = clean.coords[gt_idx[patch.member_indices, 0]]
+            gt_local = (gt_world - patch.center) / patch.scale
             pairs.append(_TrainPair(
                 noisy_local=patch.local_coords,
                 clean_local=gt_local,
@@ -230,10 +229,11 @@ def train(manifest_path, cfg: ModelConfig, epochs: int, out_dir,
     resumed run only averages snapshots from its own epochs."""
     os.makedirs(out_dir, exist_ok=True)
     pairs = build_training_pairs(manifest_path, patch_size, cfg)
-    weights = init_weights(cfg, seed=seed)
-    optimizer = Adam(weights, base_lr=base_lr, halve_every=halve_every)
     start_epoch = 0
-    if resume is not None:
+    if resume is None:
+        weights = init_weights(cfg, seed=seed)
+        optimizer = Adam(weights, base_lr=base_lr, halve_every=halve_every)
+    else:
         ck = os.path.join(resume, "checkpoint")
         weights = load_weights(os.path.join(ck, "weights.ntw"), expect_config=cfg)
         optimizer = Adam(weights, base_lr=base_lr, halve_every=halve_every)
@@ -260,6 +260,7 @@ def train(manifest_path, cfg: ModelConfig, epochs: int, out_dir,
                         f"non-finite loss at epoch {epoch}; last checkpoint kept"
                     )
                 tape.backward(loss)
+            del tape  # free the recorded activations and gradients before the optimizer step
             if clip_norm is not None:
                 _clip_gradients(weights, clip_norm)
             optimizer.step(epoch)

@@ -8,21 +8,28 @@ pipeline permutation-equivariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ArgumentError, ContractError
-from .geometry import as_points
+from .geometry import as_points, centroid_radius
 
 
-def _lex_order(d2, cx, cy, cz, idx):
-    """Row-wise ordering by (distance, x, y, z, index).
-
-    The index key only matters for exactly coincident points, where any
-    choice is equivalent; it keeps the tree and brute-force paths identical.
-    """
-    return np.lexsort((idx, cz, cy, cx, d2), axis=-1)
+def _nearest_k(d2, cand, idx, k: int, far):
+    """The k first of each row's candidates in (distance, x, y, z, index)
+    order, as (indices, sqdists); the index key only orders coincident
+    points. `d2`, `cand` (..., 3) and `idx` are the candidates' squared
+    distances, coordinates and indices. Returns None when some row's kth
+    distance is not below `far`, that row's farthest retrieved distance,
+    since an unretrieved point could then tie it; `far` is None when every
+    point is a candidate."""
+    order = np.lexsort((idx, cand[..., 2], cand[..., 1], cand[..., 0], d2), axis=-1)
+    d2s = np.take_along_axis(d2, order, axis=-1)
+    if far is not None and not np.all(d2s[..., k - 1] < far):
+        return None
+    return np.take_along_axis(idx, order[..., :k], axis=-1), d2s[..., :k]
 
 
 def _check_knn_request(pts, q, k: int, exclude_self: bool) -> None:
@@ -76,18 +83,13 @@ class KdTree:
             cand = pts[idx]
             diff = q[:, None, :] - cand
             d2 = (diff * diff).sum(axis=-1)
-            far = d2.max(axis=1)
+            # the farthest retrieved distance, taken before self is masked
+            far = d2.max(axis=1) if k_ext < n else None
             if exclude_self:
                 d2 = np.where(idx == rows, np.inf, d2)
-            order = _lex_order(d2, cand[..., 0], cand[..., 1], cand[..., 2], idx)
-            d2s = np.take_along_axis(d2, order, axis=1)
-            # safe when no excluded point could beat or tie the kth candidate
-            if k_ext == n or np.all(d2s[:, k - 1] < far):
-                sel = order[:, :k]
-                return (
-                    np.take_along_axis(idx, sel, axis=1),
-                    d2s[:, :k],
-                )
+            found = _nearest_k(d2, cand, idx, k, far)
+            if found is not None:
+                return found
             k_ext = min(n, 2 * k_ext)
 
 
@@ -108,11 +110,10 @@ def knn_brute_force(cloud, queries, k: int, exclude_self: bool = False):
     d2 = (diff * diff).sum(axis=-1)
     if exclude_self:
         d2[np.arange(m), np.arange(m)] = np.inf
-    cx = np.broadcast_to(pts[:, 0], (m, n))
-    cy = np.broadcast_to(pts[:, 1], (m, n))
-    cz = np.broadcast_to(pts[:, 2], (m, n))
+    c = np.broadcast_to(pts, (m, n, 3))
     idx = np.broadcast_to(np.arange(n), (m, n))
-    order = _lex_order(d2, cx, cy, cz, idx)[:, :k]
+    # its own (distance, x, y, z, index) order: the oracle shares no code with _nearest_k
+    order = np.lexsort((idx, c[..., 2], c[..., 1], c[..., 0], d2), axis=-1)[:, :k]
     return (order.astype(np.int64), np.take_along_axis(d2, order, axis=1))
 
 
@@ -139,12 +140,10 @@ def patch_knn(patches, k: int):
     while True:
         cand = np.argpartition(d2, k_ext - 1, axis=-1)[..., :k_ext]
         cd2 = np.take_along_axis(d2, cand, axis=-1)
-        c = pts[batch, cand]
-        order = _lex_order(cd2, c[..., 0], c[..., 1], c[..., 2], cand)
-        sd2 = np.take_along_axis(cd2, order, axis=-1)
-        # exact when no point outside the candidates could beat or tie the kth
-        if k_ext == n or np.all(sd2[..., k - 1] < cd2.max(axis=-1)):
-            return np.take_along_axis(cand, order[..., :k], axis=-1), sd2[..., :k]
+        far = cd2.max(axis=-1) if k_ext < n else None
+        found = _nearest_k(cd2, pts[batch, cand], cand, k, far)
+        if found is not None:
+            return found
         k_ext = n
 
 
@@ -157,29 +156,29 @@ def _argmax_lex(values: np.ndarray, pts: np.ndarray, allowed: np.ndarray) -> int
     return int(cand[np.lexsort((sub[:, 2], sub[:, 1], sub[:, 0]))[0]])
 
 
-def farthest_point_sample(cloud, count: int) -> np.ndarray:
-    """Greedy max-min subset selection.
-
-    The first pick is the point farthest from the centroid; each later pick
-    maximizes the minimum distance to the already-chosen set.
+def _farthest_point_order(pts: np.ndarray):
+    """Yield every index of `pts` once, in greedy max-min order: the first
+    pick is the point farthest from the centroid, each later one maximizes
+    the minimum distance to the chosen set; ties go to the smallest (x, y, z).
     """
+    allowed = np.ones(len(pts), dtype=bool)
+    score = ((pts - pts.mean(axis=0)) ** 2).sum(axis=1)
+    mind = np.inf
+    for _ in range(len(pts)):
+        pick = _argmax_lex(score, pts, allowed)
+        allowed[pick] = False
+        yield pick
+        score = mind = np.minimum(mind, ((pts - pts[pick]) ** 2).sum(axis=1))
+
+
+def farthest_point_sample(cloud, count: int) -> np.ndarray:
+    """The first `count` indices of the greedy max-min (farthest-point)
+    order that extract_patches seeds its patches in."""
     pts = as_points(cloud, "cloud")
     n = len(pts)
     if not 1 <= count <= n:
         raise ArgumentError(f"count={count} out of range for {n} points")
-    allowed = np.ones(n, dtype=bool)
-    centroid = pts.mean(axis=0)
-    d0 = ((pts - centroid) ** 2).sum(axis=1)
-    first = _argmax_lex(d0, pts, allowed)
-    chosen = [first]
-    allowed[first] = False
-    mind = ((pts - pts[first]) ** 2).sum(axis=1)
-    for _ in range(count - 1):
-        nxt = _argmax_lex(mind, pts, allowed)
-        chosen.append(nxt)
-        allowed[nxt] = False
-        mind = np.minimum(mind, ((pts - pts[nxt]) ** 2).sum(axis=1))
-    return np.asarray(chosen, dtype=np.int64)
+    return np.fromiter(islice(_farthest_point_order(pts), count), np.int64, count)
 
 
 @dataclass
@@ -195,15 +194,13 @@ class Patch:
 
 def _make_patch(pts: np.ndarray, seed: int, members: np.ndarray) -> Patch:
     coords = pts[members]
-    center = coords.mean(axis=0)
-    centered = coords - center
-    scale = float(np.sqrt((centered * centered).sum(axis=1).max()))
+    center, scale = centroid_radius(coords)
     if scale == 0.0:
         scale = 1.0  # all members coincide; any scale keeps the frame exact
     return Patch(
         seed_index=int(seed),
         member_indices=members.copy(),
-        local_coords=centered / scale,
+        local_coords=(coords - center) / scale,
         center=center,
         scale=scale,
     )
@@ -212,11 +209,12 @@ def _make_patch(pts: np.ndarray, seed: int, members: np.ndarray) -> Patch:
 def extract_patches(cloud, patch_size: int, min_coverage: int = 1) -> list[Patch]:
     """Cover the cloud with unit-sphere patches seeded by FPS order.
 
-    Seeds are taken in farthest-point order until every point belongs to at
-    least min_coverage patches; each patch is the patch_size nearest
-    neighbours of its seed (include-self), centred on its centroid and
-    scaled to max norm 1. min_coverage > 1 gives every point several
-    independent patch estimates to average at stitch time.
+    Seeds are taken in farthest-point order, the order whose prefixes
+    farthest_point_sample returns, until every point belongs to at least
+    min_coverage patches; each patch is the patch_size nearest neighbours
+    of its seed (include-self), centred on its centroid and scaled to max
+    norm 1. min_coverage > 1 gives every point several independent patch
+    estimates to average at stitch time.
     """
     pts = as_points(cloud, "cloud", nonempty=True)
     n = len(pts)
@@ -229,19 +227,13 @@ def extract_patches(cloud, patch_size: int, min_coverage: int = 1) -> list[Patch
 
     coverage = np.zeros(n, dtype=np.int64)
     patches: list[Patch] = []
-
-    # incremental FPS: next seed is the point farthest from previous seeds
-    allowed = np.ones(n, dtype=bool)
-    centroid = pts.mean(axis=0)
-    mind = ((pts - centroid) ** 2).sum(axis=1)
-    while coverage.min() < min_coverage and allowed.any():
-        seed = _argmax_lex(mind, pts, allowed)
-        allowed[seed] = False
-        mind = np.minimum(mind, ((pts - pts[seed]) ** 2).sum(axis=1))
+    for seed in _farthest_point_order(pts):
         members, _ = tree.query(pts[seed][None, :], size)
         patch = _make_patch(pts, seed, members[0])
         patches.append(patch)
         coverage[patch.member_indices] += 1
+        if coverage.min() >= min_coverage:
+            break
     return patches
 
 

@@ -152,6 +152,41 @@ def test_reduce_max_tie_routes_to_first():
     assert t.grad.tolist() == [[0.0, 1.0, 0.0]]
 
 
+def test_ops_match_their_numpy_formulas_bitwise():
+    """The reductions and products of the ops equal the plain numpy
+    formulas (np.mean, np.tensordot, put_along_axis) bit for bit."""
+    x0 = RNG.standard_normal((4, 5, 6))
+    x0[1, 2:4, 3] = 7.0  # a tie: the first index takes the gradient
+    g0 = RNG.standard_normal((4, 5, 6))
+    for axis in range(3):
+        for op, arg in ((ad.reduce_max, np.argmax), (ad.reduce_min, np.argmin)):
+            t = Tensor(x0, requires_grad=True)
+            w = np.take(g0, 0, axis=axis)
+            with Tape() as tape:
+                tape.backward(ad.reduce_sum(ad.mul(op(t, axis), Tensor(w))))
+            expect = np.zeros_like(x0)
+            np.put_along_axis(expect, np.expand_dims(arg(x0, axis=axis), axis),
+                              np.expand_dims(w, axis), axis)
+            assert np.array_equal(t.grad, expect)
+    a = Tensor(x0, requires_grad=True)
+    b = Tensor(RNG.standard_normal((6, 3)), requires_grad=True)
+    gain = Tensor(RNG.standard_normal(6), requires_grad=True)
+    bias = Tensor(RNG.standard_normal(6), requires_grad=True)
+    wy = RNG.standard_normal((4, 5, 3))
+    with Tape() as tape:
+        y = ad.matmul(ad.layer_norm(a, gain, bias), b)
+        tape.backward(ad.reduce_sum(ad.mul(y, Tensor(wy))))
+    mu = x0.mean(axis=-1, keepdims=True)
+    xc = x0 - mu
+    xhat = xc * (1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5))
+    h = gain.data * xhat + bias.data
+    assert np.array_equal(y.data, np.matmul(h, b.data))
+    assert np.array_equal(b.grad, np.tensordot(h, wy, axes=((0, 1), (0, 1))))
+    gh = np.matmul(wy, b.data.T)
+    assert np.array_equal(gain.grad, (gh * xhat).sum(axis=(0, 1)))
+    assert np.array_equal(bias.grad, gh.sum(axis=(0, 1)))
+
+
 def test_reduce_sum_mean_grad():
     x0 = RNG.standard_normal((3, 4))
     check(lambda t: ad.reduce_sum(t, axis=1), x0)
@@ -193,6 +228,21 @@ def test_gradient_accumulates_over_reuse():
     with Tape() as tape:
         tape.backward(ad.reduce_sum(ad.add(t, t)))
     assert t.grad.tolist() == [2.0]
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub])
+def test_a_gradient_passed_to_two_inputs_is_not_shared(op):
+    # add and sub hand the same gradient to both inputs; when `a` later
+    # gains a second term, `b`'s gradient must not change with it
+    w, c = RNG.standard_normal(3), RNG.standard_normal(3)
+    a = Tensor(RNG.standard_normal(3), requires_grad=True)
+    b = Tensor(RNG.standard_normal(3), requires_grad=True)
+    with Tape() as tape:
+        z = ad.mul(a, Tensor(c))
+        y = op(a, b)
+        tape.backward(ad.add(ad.reduce_sum(ad.mul(y, Tensor(w))), ad.reduce_sum(z)))
+    assert np.array_equal(a.grad, w + c)
+    assert np.array_equal(b.grad, w if op is ad.add else -w)
 
 
 def test_backward_rejects_non_scalar():

@@ -264,3 +264,24 @@ def test_eval_sweep_smoke(tmp_path, capsys):
     assert "enc=sparse,lpa=on,att=on" in grid[1]
     assert (report / "ablation_records.jsonl").exists()
     capsys.readouterr()
+
+
+def test_ply_header_line_without_fields_exits_3(tmp_path, capsys):
+    cases = {
+        "format.ply": ("ply\nformat\nelement vertex 1\nproperty float x\n", ":2:"),
+        "property.ply": ("ply\nformat ascii 1.0\nelement vertex 1\nproperty\n", ":4:"),
+    }
+    for name, (head, line) in cases.items():
+        path = tmp_path / name
+        path.write_text(head + "end_header\n0 0 0\n")
+        assert run(["eval", "--denoised", path, "--clean", path, "--surface", "sphere"]) == 3
+        assert f"error: {path}{line}" in capsys.readouterr().err
+
+
+def test_mesh_with_a_negative_face_index_exits_3(tmp_path, capsys):
+    pts = tmp_path / "p.xyz"
+    pts.write_text("0 0 0\n1 0 0\n0 1 0\n")
+    mesh = tmp_path / "neg.off"
+    mesh.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 -1\n")
+    assert run(["eval", "--denoised", pts, "--clean", pts, "--mesh", mesh]) == 3
+    assert "triangle index outside 0..2" in capsys.readouterr().err

@@ -6,6 +6,7 @@ no expected value is hand-invented.
 import numpy as np
 import pytest
 
+from noisetrans.corruption import reference_length
 from noisetrans.errors import ArgumentError, DegenerateError, FormatError, ParseError
 from noisetrans.geometry import (
     Cube,
@@ -14,6 +15,7 @@ from noisetrans.geometry import (
     Torus,
     TriMesh,
     as_points,
+    centroid_radius,
     denormalize,
     load_mesh,
     make_shape,
@@ -365,3 +367,27 @@ def test_sample_surface_argument_checks():
 def test_trimesh_index_validation():
     with pytest.raises(FormatError):
         TriMesh(np.zeros((2, 3)), np.array([[0, 1, 2]]))
+    with pytest.raises(FormatError):  # numpy would wrap it to the last vertex
+        TriMesh(np.eye(3), np.array([[0, 1, -1]]))
+
+
+def test_one_unit_sphere_frame_for_cloud_patch_and_noise_scale():
+    pts = np.random.default_rng(12).standard_normal((40, 3)) * 3.0 + 1.0
+    center, radius = centroid_radius(pts)
+    assert np.array_equal(center, pts.mean(axis=0))
+    assert radius == np.sqrt(((pts - pts.mean(axis=0)) ** 2).sum(axis=1)).max()
+    norm = normalize_unit_sphere(PointCloud(pts))
+    assert norm.scale == radius and np.array_equal(norm.center, center)
+    assert reference_length(PointCloud(pts), "bounding_sphere_radius") == radius
+    # a patch's frame is that of its members, in their neighbour order
+    for patch in extract_patches(pts, 10):
+        p_center, p_radius = centroid_radius(pts[patch.member_indices])
+        assert patch.scale == p_radius and np.array_equal(patch.center, p_center)
+    # a zero radius: normalization refuses, a patch keeps scale 1, the
+    # noise reference length is 0
+    same = np.ones((5, 3))
+    assert centroid_radius(same)[1] == 0.0
+    with pytest.raises(DegenerateError):
+        normalize_unit_sphere(PointCloud(same))
+    assert extract_patches(same, 5)[0].scale == 1.0
+    assert reference_length(PointCloud(same), "bounding_sphere_radius") == 0.0

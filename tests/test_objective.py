@@ -338,6 +338,51 @@ def test_adam_state_round_trip():
         opt2.load_state_bytes(blob + b"\x00" * 8)
 
 
+def _per_parameter_adam_step(params, m, v, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam applied one parameter at a time, as plain numpy: the oracle."""
+    for n, t in params.items():
+        g = t.grad if t.grad is not None else np.zeros_like(t.data)
+        m[n] *= b1
+        m[n] += (1.0 - b1) * g
+        v[n] *= b2
+        v[n] += (1.0 - b2) * g * g
+        mhat = m[n] / (1.0 - b1 ** step)
+        vhat = v[n] / (1.0 - b2 ** step)
+        t.data -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_flat_step_is_the_per_parameter_update_bitwise(dtype):
+    w = init_weights(desk_config(), seed=12)
+    for t in w.params.values():
+        t.data = t.data.astype(dtype)
+    ref = w.copy()
+    for t in ref.params.values():
+        t.data = t.data.astype(dtype)
+    opt = Adam(w, base_lr=1e-3)
+    m = {n: np.zeros_like(t.data) for n, t in ref.params.items()}
+    v = {n: np.zeros_like(t.data) for n, t in ref.params.items()}
+    rng = np.random.default_rng(13)
+    names = w.names()
+    for step in range(1, 6):
+        if step == 4:  # resuming switches the moments to float64
+            opt = Adam(w, base_lr=1e-3)
+            opt.load_state_bytes(blob)
+            m = {n: a.astype(np.float64) for n, a in m.items()}
+            v = {n: a.astype(np.float64) for n, a in v.items()}
+        for i, n in enumerate(names):
+            g = None if i % 7 == 3 else rng.standard_normal(w[n].shape).astype(dtype)
+            w[n].grad = g
+            ref[n].grad = None if g is None else g.copy()
+        opt.step(epoch=0)
+        _per_parameter_adam_step(ref.params, m, v, step, 1e-3)
+        blob = opt.state_bytes()
+        for n in names:
+            assert w[n].data.dtype == dtype
+            assert np.array_equal(w[n].data, ref[n].data), (step, n)
+            assert np.array_equal(opt.m[n], m[n]) and np.array_equal(opt.v[n], v[n])
+
+
 def test_eval_report_formatting_deterministic():
     rows = [EvalRow("sphere_a", "gaussian@2%", 3.2e-4, 1.1e-4, 1),
             EvalRow("torus_b", "gaussian@2%", 7.6e-4, 2.5e-4, 2)]

@@ -22,6 +22,7 @@ from noisetrans.pipeline import (
     variant_name,
     write_report,
 )
+from noisetrans.spatial import extract_patches, knn_brute_force
 
 
 def small_dataset(tmp_path, count=2, n_points=64, seed=0, name="data"):
@@ -292,3 +293,23 @@ def test_denoise_normal_projection_preserves_tangential_position():
     # and the refinement can be turned off
     raw = denoise(pts, w, iterations=1, patch_size=16, normal_projection=False)
     assert not np.allclose(raw, out)
+
+
+def test_build_training_pairs_match_per_patch_queries(tmp_path):
+    path = small_dataset(tmp_path, n_points=80)
+    cfg = desk_config()
+    pairs = build_training_pairs(path, patch_size=16, cfg=cfg)
+    # oracle: each patch's members matched to the clean cloud on their own
+    base = os.path.dirname(path)
+    expected = []
+    for entry in load_manifest(path)["entries"]:
+        noisy = read_pointcloud(os.path.join(base, entry["noisy"])).coords
+        clean = read_pointcloud(os.path.join(base, entry["clean"])).coords
+        for patch in extract_patches(noisy, 16):
+            gt, _ = knn_brute_force(clean, noisy[patch.member_indices], 1)
+            expected.append((patch.local_coords,
+                             (clean[gt[:, 0]] - patch.center) / patch.scale))
+    assert len(pairs) == len(expected)
+    for pair, (noisy_local, clean_local) in zip(pairs, expected):
+        assert np.array_equal(pair.noisy_local, noisy_local)
+        assert np.array_equal(pair.clean_local, clean_local)

@@ -265,3 +265,31 @@ def test_patch_knn_rejects_bad_input():
     bad[1, 2, 0] = np.nan
     with pytest.raises(ArgumentError):
         patch_knn(bad, 2)
+
+
+def _fps_fixture_clouds():
+    rng = np.random.default_rng(40)
+    dup = rng.standard_normal((60, 3))
+    dup[30:] = dup[:30]                      # every point twice
+    g = np.arange(4.0)
+    lattice = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    lattice = lattice[rng.permutation(len(lattice))]  # equidistant ties everywhere
+    sphere = rng.standard_normal((200, 3))
+    sphere /= np.sqrt((sphere * sphere).sum(axis=1, keepdims=True))
+    return {"random": rng.standard_normal((150, 3)), "duplicates": dup,
+            "lattice": lattice, "sphere": sphere}
+
+
+@pytest.mark.parametrize("min_coverage", [1, 3])
+@pytest.mark.parametrize("name", ["random", "duplicates", "lattice", "sphere"])
+def test_extract_patches_seeds_are_a_farthest_point_prefix(name, min_coverage):
+    pts = _fps_fixture_clouds()[name]
+    patches = extract_patches(pts, 12, min_coverage)
+    seeds = [p.seed_index for p in patches]
+    assert len(set(seeds)) == len(seeds)
+    assert seeds == farthest_point_sample(pts, len(seeds)).tolist()
+    # and the cover stopped at the first seed that met the coverage target
+    counts = np.zeros(len(pts))
+    for p in patches[:-1]:
+        counts[p.member_indices] += 1
+    assert counts.min() < min_coverage
