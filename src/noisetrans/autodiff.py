@@ -2,7 +2,9 @@
 
 All storage is numpy. Gradients are only recorded while a Tape is active
 (``with Tape() as tape: ...``); outside a tape every operation is plain
-forward arithmetic, which keeps inference cheap.
+forward arithmetic. Most ops still allocate a fresh output array per call.
+The Local Point Attention layer, where inference spends most of its time,
+is one op, edge_feature_layer, that computes in place in a few buffers.
 
 Determinism: every reduction uses numpy's fixed left-to-right order, max/min
 route their gradient to the first attaining index, and the tape replays ops
@@ -59,10 +61,13 @@ class Tape:
     def backward(self, loss: "Tensor") -> None:
         """Populate .grad on every requires_grad leaf reachable from loss.
 
-        Repeated calls without zeroing leaf grads accumulate; intermediate
-        grads are cleared before each replay. After the replay the leaves'
-        gradients are checked once: a NaN or infinity in any of them raises
-        NumericError naming the op that consumed that leaf.
+        Repeated calls without zeroing leaf grads accumulate. An intermediate
+        tensor's grad is dropped as soon as its record's backward has run,
+        since every op that consumed it was recorded later and has already
+        been replayed; after backward only leaves hold a .grad. After the
+        replay the leaves' gradients are checked once: a NaN or infinity in
+        any of them raises NumericError naming the op that consumed that
+        leaf.
         """
         if loss.data.size != 1:
             raise ContractError(
@@ -76,6 +81,7 @@ class Tape:
         for _, out, _, bw in reversed(self._records):
             if out.grad is not None:
                 bw(out.grad)
+                out.grad = None
         produced = {id(out) for _, out, _, _ in self._records}
         leaves = {id(t): (name, t) for name, _, inputs, _ in self._records
                   for t in inputs if t.requires_grad and id(t) not in produced}
@@ -168,14 +174,15 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
         t.grad += np.asarray(g, dtype=t.data.dtype)
 
 
+def _recording(inputs) -> bool:
+    """Whether an op on these inputs adds a record to the active tape."""
+    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
+
+
 def _record(name: str, out: Tensor, inputs, backward) -> Tensor:
-    if not _TAPE_STACK:
-        return out
-    for t in inputs:
-        if t.requires_grad:
-            out.requires_grad = True
-            _TAPE_STACK[-1]._records.append((name, out, inputs, backward))
-            break
+    if _recording(inputs):
+        out.requires_grad = True
+        _TAPE_STACK[-1]._records.append((name, out, inputs, backward))
     return out
 
 
@@ -190,6 +197,12 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
+
+
+def _out(a: np.ndarray, b) -> np.ndarray | None:
+    """`a` as the `out` of a binary ufunc on (a, b) when the result keeps
+    a's dtype, else None; writing a wider result into `a` would round it."""
+    return a if np.result_type(a, b) == a.dtype else None
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +262,20 @@ def matmul(a, b) -> Tensor:
         if not b.requires_grad:
             return
         if b.ndim == 2 and a.ndim > 2:
-            # shared-weight case: one matrix product over all leading axes,
-            # laid out as np.tensordot(a, g, (lead, lead)) lays it out
-            lead = tuple(range(a.ndim - 1))
-            at = a.data.transpose((a.ndim - 1,) + lead).reshape(a.shape[-1], -1)
-            _accum(b, np.dot(at, g.reshape(-1, g.shape[-1])), fresh=True)
+            _accum(b, _shared_weight_grad(a.data, g), fresh=True)
         else:
             _accum(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape), fresh=True)
 
     return _record("matmul", out, (a, b), bw)
+
+
+def _shared_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of a 2-D weight w in a @ w for an a with leading axes: one
+    matrix product over all of them, laid out as np.tensordot(a, g,
+    (lead, lead)) lays it out."""
+    lead = tuple(range(a.ndim - 1))
+    at = a.transpose((a.ndim - 1,) + lead).reshape(a.shape[-1], -1)
+    return np.dot(at, g.reshape(-1, g.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +327,7 @@ def softmax(x, axis: int = -1) -> Tensor:
 
     def bw(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
-        _accum(x, s * (g - dot))
+        _accum(x, s * (g - dot), fresh=True)
 
     return _record("softmax", out, (x,), bw)
 
@@ -320,29 +338,53 @@ def _mean_last(a: np.ndarray) -> np.ndarray:
     return np.true_divide(np.add.reduce(a, axis=-1, keepdims=True), a.shape[-1])
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    d = x.shape[-1]
+_LN_EPS = 1e-5   # layer norm's variance floor, for layer_norm and edge_feature_layer
+
+
+def _ln_normalize(x: np.ndarray, out=None):
+    """Layer norm's normalization of the last axis: returns xhat = (x -
+    mean) / sqrt(var + eps) and inv = 1 / sqrt(var + eps), eps = _LN_EPS.
+    xhat is written into `out` when given; `out` may be x itself."""
+    mu = _mean_last(x)
+    xhat = np.subtract(x, mu, out=out)
+    var = _mean_last(xhat * xhat)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    xhat *= inv
+    return xhat, inv
+
+
+def _ln_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                 gain: Tensor, bias: Tensor) -> np.ndarray:
+    """Accumulate the gradients of gain * xhat + bias into gain and bias and
+    return the gradient of the normalized input."""
+    lead = tuple(range(g.ndim - 1))
+    if gain.requires_grad:
+        _accum(gain, np.add.reduce(g * xhat, axis=lead), fresh=True)
+    if bias.requires_grad:
+        _accum(bias, np.add.reduce(g, axis=lead), fresh=True)
+    gg = g * gain.data
+    m1 = _mean_last(gg)
+    m2 = _mean_last(gg * xhat)
+    return inv * (gg - m1 - xhat * m2)
+
+
+def _check_norm_params(name: str, gain: Tensor, bias: Tensor, d: int) -> None:
     if gain.shape != (d,) or bias.shape != (d,):
         raise ArgumentError(
-            f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match last axis {d}"
+            f"{name}: gain/bias shapes {gain.shape}/{bias.shape} do not match last axis {d}"
         )
-    mu = _mean_last(x.data)
-    xc = x.data - mu
-    var = _mean_last(xc * xc)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(gain.data * xhat + bias.data)
+
+
+def layer_norm(x, gain, bias) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    _check_norm_params("layer_norm", gain, bias, x.shape[-1])
+    xhat, inv = _ln_normalize(x.data)
+    y = gain.data * xhat
+    out = Tensor(np.add(y, bias.data, out=_out(y, bias.data)))
 
     def bw(g):
-        lead = tuple(range(g.ndim - 1))
-        _accum(gain, np.add.reduce(g * xhat, axis=lead))
-        _accum(bias, np.add.reduce(g, axis=lead))
-        gg = g * gain.data
-        m1 = _mean_last(gg)
-        m2 = _mean_last(gg * xhat)
-        _accum(x, inv * (gg - m1 - xhat * m2), fresh=True)
+        _accum(x, _ln_backward(g, xhat, inv, gain, bias), fresh=True)
 
     return _record("layer_norm", out, (x, gain, bias), bw)
 
@@ -357,22 +399,30 @@ def gather_rows(x, idx) -> Tensor:
     if x.ndim != 2:
         raise ArgumentError(f"gather_rows expects a 2-D tensor, got shape {x.shape}")
     idx = np.asarray(idx, dtype=np.int64)
-    n = x.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexRangeError(
-            f"gather_rows: index out of range for {n} rows (min {idx.min()}, max {idx.max()})"
-        )
+    _check_rows("gather_rows", idx, x.shape[0])
     out = Tensor(x.data[idx])
 
     def bw(g):
-        # one bincount over (row, column) bins, much faster than np.add.at;
-        # each bin sums its terms in the order they come
-        d = x.shape[1]
-        bins = (idx.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
-        gx = np.bincount(bins, weights=g.reshape(-1), minlength=n * d).reshape(n, d)
-        _accum(x, gx, fresh=True)
+        _accum(x, _scatter_rows(g, idx, x.shape), fresh=True)
 
     return _record("gather_rows", out, (x,), bw)
+
+
+def _check_rows(name: str, idx: np.ndarray, n: int) -> None:
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexRangeError(
+            f"{name}: index out of range for {n} rows (min {idx.min()}, max {idx.max()})"
+        )
+
+
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
+    """The gradient of x[idx] for a 2-D x of `shape`: g's rows summed into
+    the rows they were gathered from. One bincount over (row, column) bins,
+    much faster than np.add.at; each bin sums its terms in the order they
+    come."""
+    n, d = shape
+    bins = (idx.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+    return np.bincount(bins, weights=g.reshape(-1), minlength=n * d).reshape(n, d)
 
 
 def _check_axis(x: Tensor, axis: int, name: str) -> int:
@@ -399,14 +449,19 @@ def _reduce_extreme(x, axis, reducer, arg_reducer, name) -> Tensor:
     out = Tensor(reducer(x.data, axis=axis))
 
     def bw(g):
-        # the argument is only needed when a tape replays this op; g lands
-        # where the position along `axis` is the argument, 0 elsewhere
-        keep = x.shape[:axis] + (1,) + x.shape[axis + 1:]
-        along = np.arange(x.shape[axis]).reshape((-1,) + (1,) * (x.ndim - axis - 1))
-        hit = arg_reducer(x.data, axis=axis).reshape(keep) == along
-        _accum(x, np.where(hit, g.reshape(keep), 0.0), fresh=True)
+        # the argument is only needed when a tape replays this op
+        _accum(x, _route_to_arg(g, arg_reducer(x.data, axis=axis), x.shape, axis),
+               fresh=True)
 
     return _record(name, out, (x,), bw)
+
+
+def _route_to_arg(g: np.ndarray, arg: np.ndarray, shape, axis: int) -> np.ndarray:
+    """The gradient of a max or min over `axis` of an array of `shape`: g
+    where the position along `axis` is the argument `arg`, 0 elsewhere."""
+    keep = shape[:axis] + (1,) + shape[axis + 1:]
+    along = np.arange(shape[axis]).reshape((-1,) + (1,) * (len(shape) - axis - 1))
+    return np.where(arg.reshape(keep) == along, g.reshape(keep), 0.0)
 
 
 def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
@@ -499,9 +554,9 @@ def pairwise_sqdist(a, b) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, 2.0 * np.einsum("ij,ijk->ik", g, diff))
+            _accum(a, 2.0 * np.einsum("ij,ijk->ik", g, diff), fresh=True)
         if b.requires_grad:
-            _accum(b, -2.0 * np.einsum("ij,ijk->jk", g, diff))
+            _accum(b, -2.0 * np.einsum("ij,ijk->jk", g, diff), fresh=True)
 
     return _record("pairwise_sqdist", out, (a, b), bw)
 
@@ -512,3 +567,141 @@ def linear(x, weight, bias=None) -> Tensor:
     if bias is not None:
         y = add(y, bias)
     return y
+
+
+# ---------------------------------------------------------------------------
+# fused layers
+# ---------------------------------------------------------------------------
+
+def edge_feature_layer(feats, neighbors, gate, weight, bias, gain=None,
+                       norm_bias=None) -> Tensor:
+    """One Local Point Attention embedding layer as a single op.
+
+    For each point i and neighbour j = neighbors[i, s], the edge feature
+    e = [f_i || f_j - f_i] is gated, e * sigmoid(e @ gate), sent through the
+    shared linear layer, layer-normalized (gain * xhat + norm_bias), passed
+    through a ReLU, and maxed over the k neighbours: (N, d) feats and (N, k)
+    neighbors give (N, out). `gate` may be None (no gating); `gain` and
+    `norm_bias` are both given or both None (no norm).
+
+    The forward works in place in a few buffers, with the arithmetic of the
+    op chain gather_rows, reshape, broadcast_to, sub, concat, matmul,
+    sigmoid, mul, linear, layer_norm, relu and reduce_max, so with every
+    input in the default dtype its output equals the chain's bitwise. A
+    recording tape gets one record, which keeps the inputs, `neighbors` and
+    the max's argmax. Its backward recomputes the gate and the pre-norm
+    activations and then runs the chain's backward arithmetic in the chain's
+    order, so the gradients are bitwise equal to the chain's too.
+    """
+    feats, weight, bias = as_tensor(feats), as_tensor(weight), as_tensor(bias)
+    if feats.ndim != 2:
+        raise ArgumentError(f"edge_feature_layer expects 2-D feats, got shape {feats.shape}")
+    n, d = feats.shape
+    idx = np.asarray(neighbors, dtype=np.int64)
+    if idx.ndim != 2 or len(idx) != n:
+        raise ArgumentError(
+            f"edge_feature_layer: neighbors of shape {idx.shape} do not fit {n} rows")
+    k = idx.shape[1]
+    if k == 0:
+        raise ArgumentError("edge_feature_layer needs at least one neighbour")
+    _check_rows("edge_feature_layer", idx, n)
+    inputs = [feats, weight, bias]
+    if gate is not None:
+        gate = as_tensor(gate)
+        if gate.shape != (2 * d, 2 * d):
+            raise ArgumentError(
+                f"edge_feature_layer: gate shape {gate.shape} is not {(2 * d, 2 * d)}")
+        inputs.append(gate)
+    if weight.ndim != 2 or weight.shape[0] != 2 * d:
+        raise ArgumentError(
+            f"edge_feature_layer: weight shape {weight.shape} does not take {2 * d} inputs")
+    width = weight.shape[1]
+    if bias.shape != (width,):
+        raise ArgumentError(
+            f"edge_feature_layer: bias shape {bias.shape} does not match width {width}")
+    if (gain is None) != (norm_bias is None):
+        raise ArgumentError("edge_feature_layer: give both gain and norm_bias, or neither")
+    if gain is not None:
+        gain, norm_bias = as_tensor(gain), as_tensor(norm_bias)
+        _check_norm_params("edge_feature_layer", gain, norm_bias, width)
+        inputs += [gain, norm_bias]
+
+    def edges():
+        # [f_i || f_j - f_i] written once into one buffer
+        x = feats.data
+        e = np.empty((n, k, 2 * d), dtype=x.dtype)
+        xi = x[:, None, :]
+        e[..., :d] = xi
+        np.subtract(x[idx], xi, out=e[..., d:])
+        return e
+
+    def pre_norm(a):
+        h = np.matmul(a, weight.data)
+        return np.add(h, bias.data, out=_out(h, bias.data))
+
+    e = edges()
+    a = e
+    if gate is not None:
+        a = np.matmul(e, gate.data)
+        expit(a, out=a)
+        a *= e
+    h = pre_norm(a)
+    del a, e
+    if gain is not None:
+        h, _ = _ln_normalize(h, out=h)
+        h = np.multiply(h, gain.data, out=_out(h, gain.data))
+        h = np.add(h, norm_bias.data, out=_out(h, norm_bias.data))
+    # the ReLU: fmax sends NaN to 0 and adding +0.0 turns -0.0 into +0.0,
+    # so h ends as np.where(h > 0, h, 0.0) bit for bit, at a tenth of its cost
+    np.fmax(h, 0.0, out=h)
+    h += 0.0
+    # no NaN and no -0.0 is left, so any order of the max gives the same
+    # bits; k slot-wise maxima beat np.maximum.reduce over the middle axis
+    top = h[:, 0].copy()
+    for j in range(1, k):
+        np.maximum(top, h[:, j], out=top)
+    out = Tensor(top)
+    if not _recording(inputs):
+        return out
+    # the ReLU passes no gradient where the max is 0: at the argmax the
+    # pre-ReLU value is positive exactly when the max is, so there -1,
+    # which matches no slot, stands in for the argmax
+    arg = np.where(top > 0, np.argmax(h, axis=1), -1)
+
+    def bw(g):
+        e = edges()
+        if gate is not None:
+            s = expit(np.matmul(e, gate.data))
+            a = e * s
+        else:
+            a = e
+        g = _route_to_arg(g, arg, (n, k, width), 1)
+        if gain is not None:
+            h = pre_norm(a)
+            xhat, inv = _ln_normalize(h, out=h)
+            g = _ln_backward(g, xhat, inv, gain, norm_bias)
+        if bias.requires_grad:
+            _accum(bias, _unbroadcast(g, bias.shape), fresh=True)
+        if weight.requires_grad:
+            _accum(weight, _shared_weight_grad(a, g), fresh=True)
+        if not (feats.requires_grad or gate is not None and gate.requires_grad):
+            return
+        ga = np.matmul(g, weight.data.swapaxes(-1, -2))
+        if gate is not None:
+            ge = ga * s if feats.requires_grad else None
+            gz = ga * e * s * (1.0 - s)
+            if feats.requires_grad:
+                ge += np.matmul(gz, gate.data.swapaxes(-1, -2))
+            if gate.requires_grad:
+                _accum(gate, _shared_weight_grad(e, gz), fresh=True)
+        else:
+            ge = ga
+        if not feats.requires_grad:
+            return
+        # the f_i path first, then the f_j scatter, as the chain replays
+        # them; a - b is a + (-b) bitwise
+        gfi = ge[..., :d] - ge[..., d:]
+        _accum(feats, _unbroadcast(gfi, (n, 1, d)).reshape(n, d), fresh=True)
+        _accum(feats, _scatter_rows(ge[..., d:], idx, (n, d)), fresh=True)
+
+    return _record("edge_feature_layer", out, tuple(inputs), bw)

@@ -174,8 +174,8 @@ class ModelWeights:
     def copy(self) -> "ModelWeights":
         out = {}
         for name, t in self.params.items():
-            c = Tensor(t.data.copy(), requires_grad=t.requires_grad)
-            out[name] = c
+            out[name] = Tensor(t.data.copy(), requires_grad=t.requires_grad,
+                               dtype=t.data.dtype)
         return ModelWeights(self.config, out)
 
 
@@ -303,23 +303,17 @@ def repeat_graphs(graphs: dict, copies: int) -> dict:
 def feature_layer(feats: Tensor, neighbors: np.ndarray, weights: ModelWeights,
                   prefix: str) -> Tensor:
     """One edge-feature aggregation layer: pair features [f_i || f_j - f_i],
-    optional sigmoid gate, shared linear + norm + relu, max over neighbours."""
+    optional sigmoid gate, shared linear + norm + relu, max over neighbours.
+
+    It is one autodiff op, ad.edge_feature_layer, which computes in place,
+    adds a single tape record and recomputes its intermediates in the
+    backward; its output and gradients equal bitwise those of the same
+    layer built from 13 ops (tests/helpers.py::chain_feature_layer)."""
     cfg = weights.config
-    n, d = feats.shape
-    k = neighbors.shape[1]
-    if k == 0:
-        raise ArgumentError("feature_layer needs at least one neighbour")
-    fj = ad.gather_rows(feats, neighbors)                      # (N, k, d)
-    fi = ad.broadcast_to(ad.reshape(feats, (n, 1, d)), (n, k, d))
-    e = ad.concat([fi, ad.sub(fj, fi)], axis=2)                # (N, k, 2d)
-    if cfg.lpa_enabled:
-        gate = ad.sigmoid(ad.matmul(e, weights[f"{prefix}.gate"]))
-        e = ad.mul(e, gate)
-    h = ad.linear(e, weights[f"{prefix}.weight"], weights[f"{prefix}.bias"])
-    if cfg.embed_norm:
-        h = ad.layer_norm(h, weights[f"{prefix}.norm_gain"], weights[f"{prefix}.norm_bias"])
-    h = ad.relu(h)
-    return ad.reduce_max(h, axis=1)
+    gate = weights[f"{prefix}.gate"] if cfg.lpa_enabled else None
+    norm = [weights[f"{prefix}.{p}"] for p in ("norm_gain", "norm_bias")] if cfg.embed_norm else []
+    return ad.edge_feature_layer(feats, neighbors, gate, weights[f"{prefix}.weight"],
+                                 weights[f"{prefix}.bias"], *norm)
 
 
 def feature_extraction_unit(coords: Tensor, neighbors: np.ndarray,

@@ -1,5 +1,6 @@
-"""Shared test oracles: central finite differences and an independent
-plain-numpy evaluator of the full network loss.
+"""Shared test oracles: central finite differences, the op chain the fused
+edge-feature layer replaced, and an independent plain-numpy evaluator of
+the full network loss.
 
 The batched evaluator carries a leading batch axis over parameter
 perturbations so whole-model gradient checks stay fast on one core. It is
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.special import erf, expit
+
+import noisetrans.autodiff as ad
 
 
 def central_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -26,6 +29,24 @@ def central_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         flat[i] = orig
         gf[i] = (fp - fm) / (2.0 * h)
     return g
+
+
+def chain_feature_layer(feats, neighbors, gate, weight, bias, gain=None,
+                        norm_bias=None):
+    """The Local Point Attention layer as the 13 autodiff ops it was built
+    from before `ad.edge_feature_layer` fused them; the fused op's output
+    and gradients must equal this chain's bitwise."""
+    n, d = feats.shape
+    k = neighbors.shape[1]
+    fj = ad.gather_rows(feats, neighbors)                      # (N, k, d)
+    fi = ad.broadcast_to(ad.reshape(feats, (n, 1, d)), (n, k, d))
+    e = ad.concat([fi, ad.sub(fj, fi)], axis=2)                # (N, k, 2d)
+    if gate is not None:
+        e = ad.mul(e, ad.sigmoid(ad.matmul(e, gate)))
+    h = ad.linear(e, weight, bias)
+    if gain is not None:
+        h = ad.layer_norm(h, gain, norm_bias)
+    return ad.reduce_max(ad.relu(h), axis=1)
 
 
 def dense_triangle_points(tri: np.ndarray, n_face: int, n_edge: int,

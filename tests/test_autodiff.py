@@ -187,6 +187,38 @@ def test_ops_match_their_numpy_formulas_bitwise():
     assert np.array_equal(bias.grad, gh.sum(axis=(0, 1)))
 
 
+def edge_layer_inputs(d=3, width=4, n=7, k=3, seed=0):
+    rng = np.random.default_rng(seed)
+    neighbors = np.array([rng.choice(np.delete(np.arange(n), i), k, replace=False)
+                          for i in range(n)])
+    return dict(
+        feats=rng.standard_normal((n, d)), gate=0.5 * rng.standard_normal((2 * d, 2 * d)),
+        weight=rng.standard_normal((2 * d, width)), bias=rng.standard_normal(width),
+        gain=1.0 + 0.2 * rng.standard_normal(width),
+        norm_bias=0.3 + 0.2 * rng.standard_normal(width)), neighbors
+
+
+@pytest.mark.parametrize("gated,normed", [(True, True), (False, False)])
+def test_edge_feature_layer_grad_every_input(gated, normed):
+    arrays, neighbors = edge_layer_inputs()
+    if not gated:
+        arrays["gate"] = None
+    if not normed:
+        arrays["gain"] = arrays["norm_bias"] = None
+    for name, value in arrays.items():
+        if value is None:
+            continue
+
+        def build(t, name=name):
+            args = {n: (t if n == name else None if a is None else Tensor(a))
+                    for n, a in arrays.items()}
+            return ad.edge_feature_layer(args["feats"], neighbors, args["gate"],
+                                         args["weight"], args["bias"],
+                                         args["gain"], args["norm_bias"])
+
+        check(build, value, tol=1e-5)
+
+
 def test_reduce_sum_mean_grad():
     x0 = RNG.standard_normal((3, 4))
     check(lambda t: ad.reduce_sum(t, axis=1), x0)
@@ -243,6 +275,74 @@ def test_a_gradient_passed_to_two_inputs_is_not_shared(op):
         tape.backward(ad.add(ad.reduce_sum(ad.mul(y, Tensor(w))), ad.reduce_sum(z)))
     assert np.array_equal(a.grad, w + c)
     assert np.array_equal(b.grad, w if op is ad.add else -w)
+
+
+def aliasing_cases():
+    arrays, neighbors = edge_layer_inputs()
+    x = RNG.standard_normal((3, 4))
+    return {
+        "softmax": ([x], lambda t: [ad.softmax(t[0])]),
+        "pairwise_sqdist": ([x[:, :3], x[:2, 1:]],
+                            lambda t: [ad.pairwise_sqdist(t[0], t[1])]),
+        "layer_norm": ([x, x[0], x[1]], lambda t: [ad.layer_norm(*t)]),
+        "layer_norm_1d": ([x[0], x[1], x[2]], lambda t: [ad.layer_norm(*t)]),
+        "edge_feature_layer": (list(arrays.values()), lambda t: [
+            ad.edge_feature_layer(t[0], neighbors, *t[1:])]),
+        "add_and_sub": ([x, x[0]], lambda t: [ad.add(t[0], t[1]), ad.sub(t[0], t[1])]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(aliasing_cases()))
+def test_no_gradient_aliases_another(case):
+    # ops hand a freshly made gradient to a leaf without a copy; none may
+    # be a view of another leaf's gradient, of the upstream gradient or of
+    # any data, or a later accumulation would leak into it
+    arrays, build = aliasing_cases()[case]
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        outs = build(leaves)
+        loss = ad.reduce_sum(ad.concat(
+            [ad.reshape(ad.mul(o, Tensor(RNG.standard_normal(o.shape))), (-1,))
+             for o in outs], axis=0))
+        tape.backward(loss)
+    arrays_seen = [t.data for t in leaves] + [o.data for o in outs]
+    for i, t in enumerate(leaves):
+        assert t.grad is not None and t.grad.shape == t.shape
+        for other in [u.grad for u in leaves[i + 1:]] + arrays_seen:
+            assert not np.shares_memory(t.grad, other), (case, i)
+
+
+def test_backward_keeps_only_leaf_grads():
+    # the same training step replayed by the loop that keeps every
+    # intermediate gradient gives bitwise the same leaf gradients
+    from noisetrans.model import desk_config, forward, init_weights
+    from noisetrans.objective import loss_total
+
+    w = init_weights(desk_config(), seed=1)
+    w["head.final.weight"].data = 0.05 * RNG.standard_normal(w["head.final.weight"].shape)
+    x = RNG.standard_normal((24, 3))
+    gt = x + 0.05 * RNG.standard_normal(x.shape)
+
+    def step():
+        w.zero_grad()
+        tape = Tape()
+        with tape:
+            loss = loss_total(forward(x, w), gt, x)
+        return tape, loss
+
+    tape, loss = step()
+    tape.backward(loss)
+    grads = {n: w[n].grad for n in w.names()}
+    assert all(out.grad is None for _, out, _, _ in tape._records)
+
+    tape, loss = step()
+    loss.grad = np.ones_like(loss.data)
+    for _, out, _, bw in reversed(tape._records):
+        if out.grad is not None:
+            bw(out.grad)
+    assert all(out.grad is not None for _, out, _, _ in tape._records)
+    for n in w.names():
+        assert grads[n].tobytes() == w[n].grad.tobytes(), n
 
 
 def test_backward_rejects_non_scalar():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import erf, expit
 
+import noisetrans.autodiff as ad
+import noisetrans.model as model
 from noisetrans.autodiff import Tape, Tensor
-from noisetrans.errors import ArgumentError, ContractError, FormatError
+from noisetrans.errors import ArgumentError, ContractError, FormatError, IndexRangeError
 from noisetrans.model import (
     ENCODING_MODES,
     ModelConfig,
@@ -22,7 +24,9 @@ from noisetrans.model import (
     save_weights,
     sparse_encoding,
 )
+from noisetrans.objective import loss_total
 from noisetrans.spatial import knn_brute_force
+from helpers import chain_feature_layer
 
 
 def test_config_validation():
@@ -161,6 +165,122 @@ def test_feature_layer_ablated_gate_and_norm():
             e = np.concatenate([feats[i], feats[j] - feats[i]])
             vals.append(np.maximum(e @ lin_w + lin_b, 0.0))
         assert np.abs(out[i] - np.max(vals, axis=0)).max() < 1e-12
+
+
+def chain_layer(feats, neighbors, weights, prefix):
+    """model.feature_layer as the 13-op chain of tests/helpers.py."""
+    cfg = weights.config
+    gate = weights[f"{prefix}.gate"] if cfg.lpa_enabled else None
+    norm = [weights[f"{prefix}.{p}"] for p in ("norm_gain", "norm_bias")] if cfg.embed_norm else []
+    return chain_feature_layer(feats, neighbors, gate, weights[f"{prefix}.weight"],
+                               weights[f"{prefix}.bias"], *norm)
+
+
+def generic_weights(cfg, seed):
+    """Weights with every norm gain and bias away from its init, so that no
+    term of the layer is an identity."""
+    w = randomized_weights(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for name in w.names():
+        if name.endswith(("norm_gain", "norm_bias", ".bias")):
+            w[name].data += 0.3 * rng.standard_normal(w[name].shape).astype(w[name].data.dtype)
+    return w
+
+
+def two_layers(layer, coords, neighbors, weights):
+    """Two stacked layers of unit 0 and a loss over both outputs, as in
+    feature_extraction_unit: the first layer's output already holds the
+    concat's gradient when the second layer's backward adds to it."""
+    x = Tensor(coords, requires_grad=True)
+    rng = np.random.default_rng(3)
+    with Tape() as tape:
+        f1 = layer(x, neighbors, weights, "embed.u0.l0")
+        f2 = layer(f1, neighbors, weights, "embed.u0.l1")
+        cat = ad.concat([f1, f2], axis=1)
+        w = Tensor(rng.standard_normal(cat.shape))
+        tape.backward(ad.reduce_sum(ad.mul(cat, w)))
+    grads = {name: weights[name].grad for name in weights.names()
+             if name.startswith(("embed.u0.l0.", "embed.u0.l1."))}
+    grads["coords"] = x.grad
+    weights.zero_grad()
+    return cat.data, grads
+
+
+FUSED_CASES = [(profile, lpa, norm) for profile in ("desk", "full")
+               for lpa in (True, False) for norm in (True, False)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("profile,lpa,norm", FUSED_CASES)
+def test_fused_feature_layer_equals_chain_bitwise(profile, lpa, norm, dtype):
+    ad.set_default_dtype(dtype)
+    make = desk_config if profile == "desk" else full_config
+    cfg = make(lpa_enabled=lpa, embed_norm=norm)
+    w = generic_weights(cfg, seed=30)
+    rng = np.random.default_rng(31)
+    n = cfg.min_points + 4
+    patches = rng.standard_normal((3, n, 3))
+    patches[0, 1] = patches[0, 2] = patches[0, 3]  # coincident points
+    patches[1, 5:9] = patches[1, :4]               # duplicated points
+    patches[2] = patches[0]                        # a duplicated patch
+    graphs = build_graphs(patches, cfg)
+    coords = patches.reshape(-1, 3).astype(dtype)
+    for k in cfg.k_scales:
+        out, grads = two_layers(feature_layer, coords, graphs[("knn", k)], w)
+        want, want_grads = two_layers(chain_layer, coords, graphs[("knn", k)], w)
+        assert out.dtype == dtype and out.tobytes() == want.tobytes()
+        assert grads.keys() == want_grads.keys()
+        for name, g in grads.items():
+            assert g.dtype == dtype and g.tobytes() == want_grads[name].tobytes(), name
+
+
+def test_fused_feature_layer_equals_chain_in_a_training_step(monkeypatch):
+    """The whole desk model's output and every weight gradient, with and
+    without the fused op, on a stack of two patches."""
+    cfg = desk_config()
+    w = generic_weights(cfg, seed=32)
+    rng = np.random.default_rng(33)
+    patches = rng.standard_normal((2, 32, 3))
+    x = patches.reshape(-1, 3)
+    gt = x + 0.05 * rng.standard_normal(x.shape)
+    graphs = build_graphs(patches, cfg)
+
+    def step():
+        w.zero_grad()
+        with Tape() as tape:
+            y = forward(x, w, graphs=graphs)
+            tape.backward(loss_total(y, gt, x))
+        return y.data, {name: w[name].grad for name in w.names()}
+
+    y, grads = step()
+    monkeypatch.setattr(model, "feature_layer", chain_layer)
+    want_y, want_grads = step()
+    assert y.tobytes() == want_y.tobytes()
+    for name in w.names():
+        assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+
+def test_feature_layer_rejects_bad_neighbours():
+    cfg = desk_config(k_scales=(2, 3, 4), feat_width=5)
+    w = init_weights(cfg, seed=4)
+    feats = Tensor(np.random.default_rng(5).standard_normal((4, 3)))
+    with pytest.raises(ArgumentError, match="at least one neighbour"):
+        feature_layer(feats, np.zeros((4, 0), dtype=np.int64), w, "embed.u0.l0")
+    for bad in (4, -1):
+        neighbors = np.array([[1, 2], [0, 3], [3, bad], [2, 1]])
+        with pytest.raises(IndexRangeError):
+            feature_layer(feats, neighbors, w, "embed.u0.l0")
+
+
+def test_weights_copy_keeps_dtype():
+    ad.set_default_dtype(np.float32)
+    w = init_weights(desk_config(), seed=34)
+    ad.set_default_dtype(np.float64)
+    c = w.copy()
+    for name in w.names():
+        assert c[name].data.dtype == np.float32, name
+        assert c[name].data.tobytes() == w[name].data.tobytes()
+        assert not np.shares_memory(c[name].data, w[name].data)
 
 
 def test_sparse_encoding_against_loop_oracle():
