@@ -2,14 +2,27 @@
 
 All storage is numpy. Gradients are only recorded while a Tape is active
 (``with Tape() as tape: ...``); outside a tape every operation is plain
-forward arithmetic. Most ops still allocate a fresh output array per call.
-The Local Point Attention layer, where inference spends most of its time,
-is one op, edge_feature_layer, that computes in place in a few buffers.
+forward arithmetic.
 
-Determinism: every reduction uses numpy's fixed left-to-right order, max/min
-route their gradient to the first attaining index, and the tape replays ops
-in exact reverse execution order, so identical inputs give bitwise-identical
-outputs and gradients.
+Every op has one forward. It computes in place in the array it returns,
+with a temporary only where a reduction needs one (layer norm's variance,
+the squared differences of pairwise_sqdist), and it never writes into its
+inputs. A float32 buffer never takes a rounded float64 result (see _out).
+A recording tape changes only what the op's record keeps, its inputs or
+its own output; the backward recomputes any other intermediate. So a
+forward gives the same bits with or without a tape. `linear` (the matmul,
+then the bias added in place) and the Local Point Attention layer,
+edge_feature_layer, are one op each.
+
+Determinism: every sum is numpy's np.add.reduce, whose order depends only
+on the array's shape and memory layout. Along a contiguous axis numpy sums
+pairwise: fewer than 8 terms left to right; up to 128 terms as eight
+interleaved partial sums, combined as a tree, then the remainder left to
+right; longer runs in two halves, recursively. Along a strided axis it
+adds element by element in index order. max/min route their gradient to
+the first attaining index, and the tape replays ops in exact reverse
+execution order, so identical inputs give bitwise-identical outputs and
+gradients.
 """
 from __future__ import annotations
 
@@ -250,23 +263,39 @@ def mul(a, b) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 1 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ArgumentError(
-            f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}"
-        )
+    _check_matmul("matmul", a, b)
     out = Tensor(np.matmul(a.data, b.data))
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape), fresh=True)
-        if not b.requires_grad:
-            return
-        if b.ndim == 2 and a.ndim > 2:
-            _accum(b, _shared_weight_grad(a.data, g), fresh=True)
-        else:
-            _accum(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape), fresh=True)
+        _matmul_backward(g, a, b)
 
     return _record("matmul", out, (a, b), bw)
+
+
+def _check_matmul(name: str, a: Tensor, b: Tensor) -> None:
+    if a.ndim < 1 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ArgumentError(
+            f"{name}: inner dimensions disagree for shapes {a.shape} and {b.shape}"
+        )
+
+
+def _matmul_backward(g: np.ndarray, a: Tensor, b: Tensor) -> None:
+    """Accumulate the gradients of a @ b into a, then b."""
+    if a.requires_grad:
+        _accum(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape), fresh=True)
+    if not b.requires_grad:
+        return
+    if b.ndim == 2 and a.ndim > 2:
+        _accum(b, _shared_weight_grad(a.data, g), fresh=True)
+    else:
+        _accum(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape), fresh=True)
+
+
+def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """x @ weight, then bias added in place: the arithmetic of matmul then
+    add."""
+    h = np.matmul(x, weight)
+    return np.add(h, bias, out=_out(h, bias))
 
 
 def _shared_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -282,13 +311,20 @@ def _shared_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 # nonlinearities
 # ---------------------------------------------------------------------------
 
+def _relu(x: np.ndarray, out=None) -> np.ndarray:
+    """np.where(x > 0, x, 0.0) bit for bit, at a tenth of its cost: fmax
+    sends NaN to 0, and adding +0.0 turns -0.0 into +0.0. `out` may be x."""
+    out = np.fmax(x, 0.0, out=out)
+    out += 0.0
+    return out
+
+
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    mask = x.data > 0
-    out = Tensor(np.where(mask, x.data, 0.0))
+    out = Tensor(_relu(x.data))
 
     def bw(g):
-        _accum(x, np.where(mask, g, 0.0), fresh=True)
+        _accum(x, np.where(x.data > 0, g, 0.0), fresh=True)
 
     return _record("relu", out, (x,), bw)
 
@@ -304,15 +340,32 @@ def sigmoid(x) -> Tensor:
     return _record("sigmoid", out, (x,), bw)
 
 
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), in one fresh array."""
+    c = np.divide(x, _SQRT2)
+    erf(c, out=c)
+    c += 1.0
+    c *= 0.5
+    return c
+
+
 def gelu(x) -> Tensor:
     """Exact GELU x * Phi(x) with Phi the standard normal CDF (erf form)."""
     x = as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data / _SQRT2))
-    out = Tensor(x.data * cdf)
+    y = _normal_cdf(x.data)
+    y *= x.data
+    out = Tensor(y)
 
     def bw(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        _accum(x, g * (cdf + x.data * pdf), fresh=True)
+        # g * (Phi(x) + x * pdf(x)), pdf(x) = exp(-0.5 * x * x) / sqrt(2 pi)
+        xd = x.data
+        p = np.multiply(xd, -0.5)
+        p *= xd
+        np.exp(p, out=p)
+        p *= _INV_SQRT_2PI
+        p *= xd
+        p += _normal_cdf(xd)
+        _accum(x, np.multiply(p, g, out=_out(p, g)), fresh=True)
 
     return _record("gelu", out, (x,), bw)
 
@@ -320,21 +373,25 @@ def gelu(x) -> Tensor:
 def softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
     _check_axis(x, axis, "softmax")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = np.subtract(x.data, x.data.max(axis=axis, keepdims=True))
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
     out = Tensor(s)
 
     def bw(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        _accum(x, s * (g - dot), fresh=True)
+        # s * (g - sum(g * s)), in the buffer of g * s
+        t = g * s
+        t = np.subtract(g, t.sum(axis=axis, keepdims=True), out=t)
+        t *= s
+        _accum(x, t, fresh=True)
 
     return _record("softmax", out, (x,), bw)
 
 
 def _mean_last(a: np.ndarray) -> np.ndarray:
     """a.mean(axis=-1, keepdims=True) without the wrapper's overhead: the
-    same left-to-right sum divided by the count."""
+    same np.add.reduce sum (see the module docstring for its order),
+    divided by the count."""
     return np.true_divide(np.add.reduce(a, axis=-1, keepdims=True), a.shape[-1])
 
 
@@ -353,19 +410,30 @@ def _ln_normalize(x: np.ndarray, out=None):
     return xhat, inv
 
 
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, out=None) -> np.ndarray:
+    """gain * xhat + bias, computed in xhat's buffer (`out`, which may be x,
+    or a fresh array) unless a wider gain or bias would round there."""
+    h, _ = _ln_normalize(x, out=out)
+    h = np.multiply(h, gain, out=_out(h, gain))
+    return np.add(h, bias, out=_out(h, bias))
+
+
 def _ln_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
                  gain: Tensor, bias: Tensor) -> np.ndarray:
     """Accumulate the gradients of gain * xhat + bias into gain and bias and
-    return the gradient of the normalized input."""
+    return the gradient of the normalized input,
+    inv * (gg - mean(gg) - xhat * mean(gg * xhat)) with gg = g * gain."""
     lead = tuple(range(g.ndim - 1))
     if gain.requires_grad:
         _accum(gain, np.add.reduce(g * xhat, axis=lead), fresh=True)
     if bias.requires_grad:
         _accum(bias, np.add.reduce(g, axis=lead), fresh=True)
     gg = g * gain.data
-    m1 = _mean_last(gg)
     m2 = _mean_last(gg * xhat)
-    return inv * (gg - m1 - xhat * m2)
+    r = np.subtract(gg, _mean_last(gg), out=gg)
+    t = xhat * m2
+    r = np.subtract(r, t, out=_out(r, t))
+    return np.multiply(r, inv, out=_out(r, inv))
 
 
 def _check_norm_params(name: str, gain: Tensor, bias: Tensor, d: int) -> None:
@@ -379,11 +447,10 @@ def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     _check_norm_params("layer_norm", gain, bias, x.shape[-1])
-    xhat, inv = _ln_normalize(x.data)
-    y = gain.data * xhat
-    out = Tensor(np.add(y, bias.data, out=_out(y, bias.data)))
+    out = Tensor(_layer_norm(x.data, gain.data, bias.data))
 
     def bw(g):
+        xhat, inv = _ln_normalize(x.data)
         _accum(x, _ln_backward(g, xhat, inv, gain, bias), fresh=True)
 
     return _record("layer_norm", out, (x, gain, bias), bw)
@@ -549,24 +616,44 @@ def pairwise_sqdist(a, b) -> Tensor:
         raise ArgumentError(
             f"pairwise_sqdist: incompatible shapes {a.shape} and {b.shape}"
         )
-    diff = a.data[:, None, :] - b.data[None, :, :]
-    out = Tensor((diff * diff).sum(axis=-1))
+
+    def diff():
+        return a.data[:, None, :] - b.data[None, :, :]
+
+    sq = diff()
+    np.multiply(sq, sq, out=sq)
+    out = Tensor(np.add.reduce(sq, axis=-1))
 
     def bw(g):
+        d = diff()
         if a.requires_grad:
-            _accum(a, 2.0 * np.einsum("ij,ijk->ik", g, diff), fresh=True)
+            _accum(a, 2.0 * np.einsum("ij,ijk->ik", g, d), fresh=True)
         if b.requires_grad:
-            _accum(b, -2.0 * np.einsum("ij,ijk->jk", g, diff), fresh=True)
+            _accum(b, -2.0 * np.einsum("ij,ijk->jk", g, d), fresh=True)
 
     return _record("pairwise_sqdist", out, (a, b), bw)
 
 
 def linear(x, weight, bias=None) -> Tensor:
-    """x @ weight (+ bias), the shared-weight dense layer used everywhere."""
-    y = matmul(x, weight)
-    if bias is not None:
-        y = add(y, bias)
-    return y
+    """x @ weight (+ bias), the shared-weight dense layer used everywhere.
+
+    With a bias it is one op: the matmul, then the bias added in place. Its
+    backward runs the arithmetic of matmul followed by add in the same
+    order, so with every input in the default dtype its output and
+    gradients equal those of the two ops bitwise."""
+    if bias is None:
+        return matmul(x, weight)
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    _check_matmul("linear", x, weight)
+    out = Tensor(_affine(x.data, weight.data, bias.data))
+
+    def bw(g):
+        if bias.requires_grad:
+            # fresh only when _unbroadcast summed g into a new array
+            _accum(bias, _unbroadcast(g, bias.shape), fresh=g.shape != bias.shape)
+        _matmul_backward(g, x, weight)
+
+    return _record("linear", out, (x, weight, bias), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -635,26 +722,17 @@ def edge_feature_layer(feats, neighbors, gate, weight, bias, gain=None,
         np.subtract(x[idx], xi, out=e[..., d:])
         return e
 
-    def pre_norm(a):
-        h = np.matmul(a, weight.data)
-        return np.add(h, bias.data, out=_out(h, bias.data))
-
     e = edges()
     a = e
     if gate is not None:
         a = np.matmul(e, gate.data)
         expit(a, out=a)
         a *= e
-    h = pre_norm(a)
+    h = _affine(a, weight.data, bias.data)
     del a, e
     if gain is not None:
-        h, _ = _ln_normalize(h, out=h)
-        h = np.multiply(h, gain.data, out=_out(h, gain.data))
-        h = np.add(h, norm_bias.data, out=_out(h, norm_bias.data))
-    # the ReLU: fmax sends NaN to 0 and adding +0.0 turns -0.0 into +0.0,
-    # so h ends as np.where(h > 0, h, 0.0) bit for bit, at a tenth of its cost
-    np.fmax(h, 0.0, out=h)
-    h += 0.0
+        h = _layer_norm(h, gain.data, norm_bias.data, out=h)
+    h = _relu(h, out=h)
     # no NaN and no -0.0 is left, so any order of the max gives the same
     # bits; k slot-wise maxima beat np.maximum.reduce over the middle axis
     top = h[:, 0].copy()
@@ -677,7 +755,7 @@ def edge_feature_layer(feats, neighbors, gate, weight, bias, gain=None,
             a = e
         g = _route_to_arg(g, arg, (n, k, width), 1)
         if gain is not None:
-            h = pre_norm(a)
+            h = _affine(a, weight.data, bias.data)
             xhat, inv = _ln_normalize(h, out=h)
             g = _ln_backward(g, xhat, inv, gain, norm_bias)
         if bias.requires_grad:

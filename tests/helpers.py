@@ -1,6 +1,6 @@
-"""Shared test oracles: central finite differences, the op chain the fused
-edge-feature layer replaced, and an independent plain-numpy evaluator of
-the full network loss.
+"""Shared test oracles: central finite differences, the op chains that the
+one-op `linear` and the fused edge-feature layer replaced, and an
+independent plain-numpy evaluator of the full network loss.
 
 The batched evaluator carries a leading batch axis over parameter
 perturbations so whole-model gradient checks stay fast on one core. It is
@@ -8,10 +8,23 @@ written directly from the layer math, not by calling the library's ops.
 """
 from __future__ import annotations
 
+import importlib.util
+import os
+
 import numpy as np
 from scipy.special import erf, expit
 
 import noisetrans.autodiff as ad
+
+_TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+
+
+def traced_autodiff_ops() -> tuple[str, ...]:
+    """The autodiff op names that perfbench/tracing.py wraps by name."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tuple(tracing.AUTODIFF_OPS)
 
 
 def central_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -31,6 +44,13 @@ def central_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return g
 
 
+def chain_linear(x, weight, bias):
+    """A dense layer as the two ops it was built from before `ad.linear`
+    became one; the one op's output and gradients must equal this chain's
+    bitwise."""
+    return ad.add(ad.matmul(x, weight), bias)
+
+
 def chain_feature_layer(feats, neighbors, gate, weight, bias, gain=None,
                         norm_bias=None):
     """The Local Point Attention layer as the 13 autodiff ops it was built
@@ -43,7 +63,7 @@ def chain_feature_layer(feats, neighbors, gate, weight, bias, gain=None,
     e = ad.concat([fi, ad.sub(fj, fi)], axis=2)                # (N, k, 2d)
     if gate is not None:
         e = ad.mul(e, ad.sigmoid(ad.matmul(e, gate)))
-    h = ad.linear(e, weight, bias)
+    h = chain_linear(e, weight, bias)
     if gain is not None:
         h = ad.layer_norm(h, gain, norm_bias)
     return ad.reduce_max(ad.relu(h), axis=1)

@@ -6,7 +6,7 @@ import pytest
 import noisetrans.autodiff as ad
 from noisetrans.autodiff import Tape, Tensor
 from noisetrans.errors import ArgumentError, ContractError, NumericError
-from helpers import central_diff, rel_err
+from helpers import central_diff, chain_linear, rel_err, traced_autodiff_ops
 
 
 def grad_of(build, x0, h=1e-6, seed=0):
@@ -255,6 +255,96 @@ def test_linear_grad():
     check(lambda t: ad.linear(Tensor(x0), Tensor(w0), t), b0)
 
 
+LINEAR_CASES = [(grad, shape) for grad in ("all", "x", "weight", "bias")
+                for shape in ((6, 4), (3, 6, 4))] + [("x", (4,)), ("bias", (4,))]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("needs_grad,shape", LINEAR_CASES)
+def test_linear_equals_matmul_add_chain_bitwise(needs_grad, shape, dtype):
+    """One-op linear against the matmul + add chain it replaced: output and
+    every gradient bit for bit, with x's gradient also taking a term from
+    a second consumer. (A 1-D x gives the bias the upstream gradient
+    itself; matmul's weight gradient does not support a 1-D x.)"""
+    ad.set_default_dtype(dtype)
+    rng = np.random.default_rng(50)
+    arrays = {"x": rng.standard_normal(shape), "weight": rng.standard_normal((4, 5)),
+              "bias": rng.standard_normal(5)}
+    wy = rng.standard_normal(shape[:-1] + (5,))
+
+    def run(layer):
+        t = {n: Tensor(a, requires_grad=needs_grad in ("all", n)) for n, a in arrays.items()}
+        with Tape() as tape:
+            y = layer(t["x"], t["weight"], t["bias"])
+            loss = ad.add(ad.reduce_sum(ad.mul(y, Tensor(wy))),
+                          ad.reduce_sum(ad.mul(t["x"], t["x"])))
+            tape.backward(loss)
+        return y.data, {n: v.grad for n, v in t.items()}
+
+    y, grads = run(ad.linear)
+    want, want_grads = run(chain_linear)
+    assert y.dtype == dtype and y.tobytes() == want.tobytes()
+    for name, g in grads.items():
+        if g is None:
+            assert want_grads[name] is None, name
+        else:
+            assert g.dtype == dtype and g.tobytes() == want_grads[name].tobytes(), name
+
+
+def op_cases():
+    """(input arrays, forward) for every op the benchmark traces, plus the
+    fused layer; forward takes the input tensors."""
+    rng = np.random.default_rng(51)
+    x = rng.standard_normal((3, 4, 5))
+    x[0, 0, :3] = (0.0, -0.0, 710.0)
+    m = rng.standard_normal((4, 5))
+    gain, bias = 1.0 + rng.standard_normal(5), rng.standard_normal(5)
+    arrays, neighbors = edge_layer_inputs()
+    rows = np.array([[0, 3], [3, 3], [2, 1]])
+    return {
+        "matmul": ([x, m.T], lambda t: ad.matmul(*t)),
+        "add": ([x, m], lambda t: ad.add(*t)),
+        "sub": ([x, m], lambda t: ad.sub(*t)),
+        "mul": ([x, m], lambda t: ad.mul(*t)),
+        "linear": ([x, m.T, gain[:4]], lambda t: ad.linear(*t)),
+        "gather_rows": ([m], lambda t: ad.gather_rows(t[0], rows)),
+        "broadcast_to": ([m[0]], lambda t: ad.broadcast_to(t[0], (3, 5))),
+        "concat": ([m, x[0, :2]], lambda t: ad.concat(t, axis=0)),
+        "reshape": ([x], lambda t: ad.reshape(t[0], (12, 5))),
+        "transpose": ([x], lambda t: ad.transpose(t[0], (2, 0, 1))),
+        "sigmoid": ([x], lambda t: ad.sigmoid(t[0])),
+        "relu": ([x], lambda t: ad.relu(t[0])),
+        "gelu": ([x], lambda t: ad.gelu(t[0])),
+        "layer_norm": ([x, gain, bias], lambda t: ad.layer_norm(*t)),
+        "softmax": ([x], lambda t: ad.softmax(t[0], axis=1)),
+        "reduce_max": ([x], lambda t: ad.reduce_max(t[0], axis=1)),
+        "reduce_min": ([x], lambda t: ad.reduce_min(t[0], axis=2)),
+        "reduce_sum": ([x], lambda t: ad.reduce_sum(t[0], axis=0)),
+        "pairwise_sqdist": ([m[:, :3], x[0, :, 2:]], lambda t: ad.pairwise_sqdist(*t)),
+        "edge_feature_layer": (list(arrays.values()),
+                               lambda t: ad.edge_feature_layer(t[0], neighbors, *t[1:])),
+    }
+
+
+@pytest.mark.parametrize("op", sorted({*traced_autodiff_ops(), "edge_feature_layer"}))
+def test_every_op_writes_no_input_and_has_one_forward(op):
+    # ops compute in place in the array they return: it must never be an
+    # input, with or without a tape, and no backward may write into an
+    # input either; a tape changes what the op keeps, not its output
+    arrays, build = op_cases()[op]
+    plain_inputs = [Tensor(a.copy()) for a in arrays]
+    plain = build(plain_inputs)
+    if op not in ("reshape", "transpose"):
+        assert not any(np.shares_memory(plain.data, t.data) for t in plain_inputs)
+    inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = build(inputs)
+        assert out.data.tobytes() == plain.data.tobytes()
+        tape.backward(ad.reduce_sum(ad.mul(out, Tensor(RNG.standard_normal(out.shape)))))
+    for group in (plain_inputs, inputs):
+        assert [t.data.tobytes() for t in group] == [a.tobytes() for a in arrays]
+
+
 def test_gradient_accumulates_over_reuse():
     t = Tensor(np.array([2.0]), requires_grad=True)
     with Tape() as tape:
@@ -289,6 +379,7 @@ def aliasing_cases():
         "edge_feature_layer": (list(arrays.values()), lambda t: [
             ad.edge_feature_layer(t[0], neighbors, *t[1:])]),
         "add_and_sub": ([x, x[0]], lambda t: [ad.add(t[0], t[1]), ad.sub(t[0], t[1])]),
+        "linear": ([x, x.T, x[0, :3]], lambda t: [ad.linear(*t)]),
     }
 
 

@@ -26,7 +26,7 @@ from noisetrans.model import (
 )
 from noisetrans.objective import loss_total
 from noisetrans.spatial import knn_brute_force
-from helpers import chain_feature_layer
+from helpers import chain_feature_layer, traced_autodiff_ops
 
 
 def test_config_validation():
@@ -258,6 +258,80 @@ def test_fused_feature_layer_equals_chain_in_a_training_step(monkeypatch):
     assert y.tobytes() == want_y.tobytes()
     for name in w.names():
         assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+
+def cast_weights(w, dtype):
+    for name in w.names():
+        w[name].data = w[name].data.astype(dtype)
+    return w
+
+
+PATH_CASES = [(profile, mode, lpa, attention) for profile in ("desk", "full")
+              for mode in ENCODING_MODES for lpa in (True, False)
+              for attention in (True, False)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("profile,mode,lpa,attention", PATH_CASES)
+def test_forward_is_one_path_with_and_without_a_tape(profile, mode, lpa, attention, dtype):
+    """A tape changes only what the ops keep for the backward: the output
+    of a recorded forward equals that of a plain one bitwise."""
+    ad.set_default_dtype(dtype)
+    make = desk_config if profile == "desk" else full_config
+    cfg = make(encoding_mode=mode, lpa_enabled=lpa, attention_enabled=attention)
+    w = cast_weights(generic_weights(cfg, seed=40), dtype)
+    patches = np.random.default_rng(41).standard_normal((2, cfg.min_points + 7, 3))
+    graphs = build_graphs(patches, cfg)
+    x = patches.reshape(-1, 3)
+    plain = forward(x, w, graphs=graphs).data
+    with Tape() as tape:
+        recorded = forward(x, w, graphs=graphs).data
+    assert len(tape) > 0
+    assert plain.dtype == dtype and plain.tobytes() == recorded.tobytes()
+
+
+def input_arrays(args, kwargs):
+    """The arrays among an op's arguments, inside lists too."""
+    out = []
+    for a in [*args, *kwargs.values()]:
+        for item in a if isinstance(a, (list, tuple)) else [a]:
+            if isinstance(item, Tensor):
+                out.append(item.data)
+            elif isinstance(item, np.ndarray):
+                out.append(item)
+    return out
+
+
+@pytest.mark.parametrize("profile", ["desk", "full"])
+def test_forward_writes_into_no_input(profile, monkeypatch):
+    """No op call of a plain forward or of a recorded training step writes
+    into an input, intermediates included: the residual stream feeds
+    layer_norm and then add. Coords and every weight keep their bytes."""
+
+    def checked(name, fn):
+        def op(*args, **kwargs):
+            arrays = input_arrays(args, kwargs)
+            before = [a.tobytes() for a in arrays]
+            out = fn(*args, **kwargs)
+            assert [a.tobytes() for a in arrays] == before, name
+            return out
+        return op
+
+    for name in {*traced_autodiff_ops(), "edge_feature_layer"}:
+        monkeypatch.setattr(ad, name, checked(name, getattr(ad, name)))
+    cfg = desk_config() if profile == "desk" else full_config()
+    w = generic_weights(cfg, seed=42)
+    rng = np.random.default_rng(43)
+    coords = rng.standard_normal((cfg.min_points + 7, 3))
+    gt = coords + 0.05 * rng.standard_normal(coords.shape)
+    before = {name: w[name].data.tobytes() for name in w.names()}
+    saved = coords.tobytes()
+    forward(coords, w)
+    with Tape() as tape:
+        tape.backward(loss_total(forward(coords, w), gt, coords))
+    assert coords.tobytes() == saved
+    for name in w.names():
+        assert w[name].data.tobytes() == before[name], name
 
 
 def test_feature_layer_rejects_bad_neighbours():
