@@ -84,6 +84,37 @@ def test_sigmoid_gelu_grad():
     check(lambda t: ad.gelu(t), x0)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_against_expit_at_the_edges(dtype):
+    """_sigmoid against scipy's expit on a dense grid over [-750, 750] and
+    at +-709, +-710 and +-1000, where exp(-x) over- or underflows."""
+    from scipy.special import expit
+
+    ad.set_default_dtype(dtype)
+    x = np.concatenate([np.linspace(-750.0, 750.0, 1_500_001),
+                        [-1000.0, -710.0, -709.0, 709.0, 710.0, 1000.0]]).astype(dtype)
+    want = expit(x)
+    with np.errstate(all="raise"):
+        got = ad._sigmoid(x, np.empty_like(x))
+        y = x.copy()
+        in_place = ad._sigmoid(y, out=y)
+        t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            tape.backward(ad.reduce_sum(ad.sigmoid(t)))
+    assert got.dtype == dtype and in_place.tobytes() == got.tobytes()
+    diff = np.abs(got.astype(np.float64) - want.astype(np.float64))
+    # numpy's vectorized exp and the C library's exp, which expit calls,
+    # round differently: up to 4 ulp of the value where 1 + exp(-x) rounds
+    # away a last bit (x near -37 in float64), and at most 2 ulp of 1
+    assert (diff <= 4 * np.spacing(np.abs(want)).astype(np.float64)).all()
+    assert diff.max() <= np.finfo(dtype).eps
+    assert np.array_equal(got[x <= -710], np.zeros((x <= -710).sum(), dtype))
+    assert np.isfinite(t.grad).all()
+    special = np.array([-np.inf, np.inf, np.nan], dtype=dtype)
+    assert np.array_equal(ad._sigmoid(special, np.empty_like(special)),
+                          np.array([0.0, 1.0, np.nan], dtype=dtype), equal_nan=True)
+
+
 def test_gelu_value_against_mpmath():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
