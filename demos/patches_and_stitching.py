@@ -3,9 +3,11 @@ Farthest point sampling, patch extraction, and stitching
 ========================================================
 
 A cloud is covered with fixed-size local patches seeded in farthest-point
-order. Each patch lives in its own unit-sphere frame; stitching averages
-the per-patch world coordinates back into one cloud. With the identity
-applied to every patch, stitching reproduces the input exactly.
+order, returned as one record of stacked arrays (seeds, members, local
+coordinates, centers, scales). Each patch lives in its own unit-sphere
+frame; stitching averages the per-patch world coordinates back into one
+cloud. With the identity applied to every patch, stitching reproduces the
+input exactly.
 """
 import numpy as np
 
@@ -19,12 +21,12 @@ print("farthest-point seeds:", picks.tolist())
 
 patches = extract_patches(cloud, patch_size=64)
 print(f"{len(patches)} patches of 64 points cover all {len(cloud)} points")
-for p in patches[:3]:
-    radius = np.sqrt((p.local_coords ** 2).sum(axis=1)).max()
-    print(f"  seed {p.seed_index:4d}  scale {p.scale:.4f}  local max norm {radius:.4f}")
+radii = np.sqrt((patches.local ** 2).sum(axis=2)).max(axis=1)
+for seed, scale, radius in zip(patches.seeds[:3], patches.scales, radii):
+    print(f"  seed {seed:4d}  scale {scale:.4f}  local max norm {radius:.4f}")
 
 # identity round trip: stitch the untouched local coordinates
-restored = stitch_patches(patches, [p.local_coords for p in patches], len(cloud))
+restored = stitch_patches(patches, patches.local, len(cloud))
 print("stitch identity max error:", np.abs(restored - cloud).max())
 
 # deeper coverage gives each point several estimates to average

@@ -48,7 +48,7 @@ from .objective import (
 from .pipeline import denoise, make_dataset, train
 from .spatial import (
     KdTree,
-    Patch,
+    Patches,
     extract_patches,
     farthest_point_sample,
     knn_brute_force,

@@ -281,15 +281,19 @@ def _check_matmul(name: str, a: Tensor, b: Tensor) -> None:
 
 
 def _matmul_backward(g: np.ndarray, a: Tensor, b: Tensor) -> None:
-    """Accumulate the gradients of a @ b into a, then b."""
+    """Accumulate the gradients of a @ b into a, then b. A 1-D a is one
+    row, as np.matmul treats it."""
+    x = a.data
+    if x.ndim == 1:
+        x, g = x[None], g[..., None, :]
     if a.requires_grad:
         _accum(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape), fresh=True)
     if not b.requires_grad:
         return
-    if b.ndim == 2 and a.ndim > 2:
-        _accum(b, _shared_weight_grad(a.data, g), fresh=True)
+    if b.ndim == 2 and x.ndim > 2:
+        _accum(b, _shared_weight_grad(x, g), fresh=True)
     else:
-        _accum(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape), fresh=True)
+        _accum(b, _unbroadcast(np.matmul(x.swapaxes(-1, -2), g), b.shape), fresh=True)
 
 
 def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -98,12 +98,13 @@ class TriMesh:
 # normalization
 # ---------------------------------------------------------------------------
 
-def centroid_radius(coords: np.ndarray) -> tuple[np.ndarray, float]:
-    """The centroid of (N, 3) coordinates and their largest distance from it,
-    the unit-sphere frame; each caller decides what a zero radius means."""
-    center = coords.mean(axis=0)
-    centered = coords - center
-    return center, float(np.sqrt((centered * centered).sum(axis=1).max()))
+def centroid_radius(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """The centroid of (..., N, 3) coordinates and their largest distance
+    from it, the unit-sphere frame, per cloud of a stack and bitwise equal
+    to that cloud's own; each caller decides what a zero radius means."""
+    center = coords.mean(axis=-2)
+    centered = coords - center[..., None, :]
+    return center, np.sqrt((centered * centered).sum(axis=-1).max(axis=-1))
 
 
 def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -254,14 +255,25 @@ def load_weights(path, expect_config: ModelConfig | None = None) -> ModelWeights
 # forward pieces
 # ---------------------------------------------------------------------------
 
-def build_graphs(coords: np.ndarray, cfg: ModelConfig) -> dict:
+class Graphs(NamedTuple):
+    """Each row's exclude-self neighbours, nearest first, in B stacked
+    patches of `patch_size` rows: idx and d2 (squared distances) are
+    (B*N, k_max). KNN scale k is idx[:, :k]; the sparse encoding reads the
+    sparse_k prefix of idx and d2."""
+
+    idx: np.ndarray
+    d2: np.ndarray
+    patch_size: int
+
+
+def build_graphs(coords: np.ndarray, cfg: ModelConfig) -> Graphs:
     """Exclude-self KNN graphs reused by every layer of one forward pass.
 
     `coords` is one (N, 3) patch or a (B, N, 3) stack of patches. One
-    k_max query per patch gives every ("knn", k) scale and the "sparse"
-    graph as column prefixes. Indices address rows of the stacked (B*N, 3)
-    block, patch b's offset by b*N, so a stack's graphs are one
-    block-diagonal graph; "patch_size" records N.
+    query per patch at k_max = min_points - 1, the largest k any layer
+    uses, gives every graph as a column prefix. Indices address rows of
+    the stacked (B*N, 3) block, patch b's offset by b*N, so a stack's
+    graphs are one block-diagonal graph.
     """
     pts = as_points(coords, "coords", stacked=np.ndim(coords) == 3)
     if pts.ndim == 2:
@@ -275,29 +287,16 @@ def build_graphs(coords: np.ndarray, cfg: ModelConfig) -> dict:
     k_max = cfg.min_points - 1
     idx, d2 = patch_knn(pts, k_max)
     idx = (idx + n * np.arange(b)[:, None, None]).reshape(b * n, k_max)
-    d2 = d2.reshape(b * n, k_max)
-    graphs: dict = {"patch_size": n}
-    for k in cfg.k_scales:
-        graphs[("knn", k)] = idx[:, :k]
-    if cfg.encoding_mode == "sparse":
-        graphs["sparse"] = (idx[:, :cfg.sparse_k], d2[:, :cfg.sparse_k])
-    return graphs
+    return Graphs(idx, d2.reshape(b * n, k_max), n)
 
 
-def repeat_graphs(graphs: dict, copies: int) -> dict:
+def repeat_graphs(graphs: Graphs, copies: int) -> Graphs:
     """The graphs of `copies` stacked repeats of the block `graphs` was built
     on, such as the same patches under several rotations: KNN graphs do not
     change when a patch is rotated."""
-
-    def tile(idx):
-        return np.concatenate([idx + r * len(idx) for r in range(copies)])
-
-    out = {key: tile(val) for key, val in graphs.items() if isinstance(key, tuple)}
-    out["patch_size"] = graphs["patch_size"]
-    if "sparse" in graphs:
-        idx, d2 = graphs["sparse"]
-        out["sparse"] = (tile(idx), np.tile(d2, (copies, 1)))
-    return out
+    rows = len(graphs.idx)
+    idx = np.concatenate([graphs.idx + r * rows for r in range(copies)])
+    return Graphs(idx, np.tile(graphs.d2, (copies, 1)), graphs.patch_size)
 
 
 def feature_layer(feats: Tensor, neighbors: np.ndarray, weights: ModelWeights,
@@ -329,11 +328,11 @@ def feature_extraction_unit(coords: Tensor, neighbors: np.ndarray,
     return ad.concat(outs, axis=1)
 
 
-def point_embedding(coords: Tensor, graphs: dict, weights: ModelWeights) -> Tensor:
+def point_embedding(coords: Tensor, graphs: Graphs, weights: ModelWeights) -> Tensor:
     """Three scales of local features fused by a shared two-layer MLP."""
     cfg = weights.config
     units = [
-        feature_extraction_unit(coords, graphs[("knn", k)], weights, u)
+        feature_extraction_unit(coords, graphs.idx[:, :k], weights, u)
         for u, k in enumerate(cfg.k_scales)
     ]
     cat = ad.concat(units, axis=1)
@@ -341,10 +340,11 @@ def point_embedding(coords: Tensor, graphs: dict, weights: ModelWeights) -> Tens
     return ad.linear(h, weights["fuse.l1.weight"], weights["fuse.l1.bias"])
 
 
-def sparse_encoding(coords_np: np.ndarray, graphs: dict, weights: ModelWeights) -> Tensor:
+def sparse_encoding(coords_np: np.ndarray, graphs: Graphs, weights: ModelWeights) -> Tensor:
     """Positional signal from neighbour offsets and inverse squared distances,
     summed over neighbours so the result is permutation invariant."""
-    idx, d2 = graphs["sparse"]
+    k = weights.config.sparse_k
+    idx, d2 = graphs.idx[:, :k], graphs.d2[:, :k]
     xi = coords_np[:, None, :]
     xj = coords_np[idx]
     inv = 1.0 / np.maximum(d2, _SPARSE_EPS)
@@ -408,7 +408,7 @@ def output_header(f: Tensor, x: Tensor, weights: ModelWeights) -> Tensor:
     return ad.add(delta, x)
 
 
-def forward(coords, weights: ModelWeights, graphs: dict | None = None) -> Tensor:
+def forward(coords, weights: ModelWeights, graphs: Graphs | None = None) -> Tensor:
     """Denoise locally-normalized patches; returns a Tensor shaped like coords.
 
     `coords` is one (N, 3) patch, or B patches stacked as (B*N, 3) rows
@@ -419,7 +419,7 @@ def forward(coords, weights: ModelWeights, graphs: dict | None = None) -> Tensor
     coords_np = as_points(coords, "coords").astype(ad.default_dtype(), copy=False)
     if graphs is None:
         graphs = build_graphs(coords_np, cfg)
-    graph_rows = len(graphs[("knn", cfg.k_scales[0])])
+    graph_rows = len(graphs.idx)
     if graph_rows != len(coords_np):
         raise ArgumentError(f"graphs cover {graph_rows} rows but coords has {len(coords_np)}")
     x = Tensor(coords_np)
@@ -431,7 +431,7 @@ def forward(coords, weights: ModelWeights, graphs: dict | None = None) -> Tensor
     else:
         f = emb
     for i in range(cfg.n_encoder_layers):
-        f = encoder_layer(f, weights, i, graphs["patch_size"])
+        f = encoder_layer(f, weights, i, graphs.patch_size)
     y = output_header(f, x, weights)
     if not np.all(np.isfinite(y.data)):
         raise NumericError("non-finite values in network output")

@@ -32,6 +32,7 @@ from .geometry import (
     write_pointcloud,
 )
 from .model import (
+    Graphs,
     ModelConfig,
     ModelWeights,
     build_graphs,
@@ -147,7 +148,7 @@ def _entry_surface(entry: dict):
 class _TrainPair:
     noisy_local: np.ndarray
     clean_local: np.ndarray
-    graphs: dict
+    graphs: Graphs
 
 
 def build_training_pairs(manifest_path, patch_size: int, cfg: ModelConfig) -> list[_TrainPair]:
@@ -166,15 +167,11 @@ def build_training_pairs(manifest_path, patch_size: int, cfg: ModelConfig) -> li
         noisy = read_pointcloud(os.path.join(base, entry["noisy"]))
         clean = read_pointcloud(os.path.join(base, entry["clean"]))
         patches = extract_patches(noisy.coords, patch_size)
-        gt_idx, _ = KdTree(clean.coords).query(noisy.coords, 1)  # all patches share it
-        for patch in patches:
-            gt_world = clean.coords[gt_idx[patch.member_indices, 0]]
-            gt_local = (gt_world - patch.center) / patch.scale
-            pairs.append(_TrainPair(
-                noisy_local=patch.local_coords,
-                clean_local=gt_local,
-                graphs=build_graphs(patch.local_coords, cfg),
-            ))
+        gt_idx, _ = KdTree(clean.coords).query(noisy.coords, 1)
+        clean_local = ((clean.coords[gt_idx[patches.members, 0]] - patches.centers[:, None])
+                       / patches.scales[:, None, None])
+        pairs.extend(_TrainPair(noisy_local=nl, clean_local=cl, graphs=build_graphs(nl, cfg))
+                     for nl, cl in zip(patches.local, clean_local))
     if not pairs:
         raise ContractError(f"{manifest_path}: no training pairs")
     return pairs
@@ -381,19 +378,19 @@ def denoise(coords, weights: ModelWeights, iterations: int = 1,
     for _ in range(iterations):
         cloud = normalize_unit_sphere(PointCloud(coords))
         patches = extract_patches(cloud.coords, patch_size, min_coverage=coverage)
-        local = np.stack([p.local_coords for p in patches])           # (P, N, 3)
+        local = patches.local                                          # (P, N, 3)
         chunk = _patches_per_forward(cfg, local.shape[1], len(rots))
-        outs = []
+        denoised = np.zeros_like(local)
         for start in range(0, len(local), chunk):
             block = local[start:start + chunk]
             graphs = repeat_graphs(build_graphs(block, cfg), len(rots))
             rows = np.concatenate([block @ rot.T for rot in rots]).reshape(-1, 3)
             ys = forward(rows, weights, graphs=graphs).data.reshape(len(rots), *block.shape)
-            acc = np.zeros_like(block)
+            acc = denoised[start:start + chunk]
             for y, rot in zip(ys, rots):
                 acc += y @ rot
-            outs.extend(acc / len(rots))
-        stitched = stitch_patches(patches, outs, len(coords))
+            acc /= len(rots)
+        stitched = stitch_patches(patches, denoised, len(coords))
         out = denormalize(PointCloud(stitched, center=cloud.center,
                                      scale=cloud.scale)).coords
         if normal_projection:

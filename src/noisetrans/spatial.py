@@ -181,40 +181,33 @@ def farthest_point_sample(cloud, count: int) -> np.ndarray:
     return np.fromiter(islice(_farthest_point_order(pts), count), np.int64, count)
 
 
-@dataclass
-class Patch:
-    """A fixed-size neighbourhood in its local unit-sphere frame."""
+@dataclass(frozen=True)
+class Patches:
+    """P fixed-size neighbourhoods of one cloud as stacked arrays, each in
+    its local unit-sphere frame: local[p] = (cloud[members[p]] - centers[p])
+    / scales[p]. len() is P."""
 
-    seed_index: int
-    member_indices: np.ndarray  # (size,)
-    local_coords: np.ndarray    # (size, 3), max norm <= 1
-    center: np.ndarray          # (3,)
-    scale: float
+    seeds: np.ndarray    # (P,) the cloud index each patch was seeded at
+    members: np.ndarray  # (P, S) cloud indices, the seed's S nearest
+    local: np.ndarray    # (P, S, 3), max norm <= 1 per patch
+    centers: np.ndarray  # (P, 3)
+    scales: np.ndarray   # (P,)
 
-
-def _make_patch(pts: np.ndarray, seed: int, members: np.ndarray) -> Patch:
-    coords = pts[members]
-    center, scale = centroid_radius(coords)
-    if scale == 0.0:
-        scale = 1.0  # all members coincide; any scale keeps the frame exact
-    return Patch(
-        seed_index=int(seed),
-        member_indices=members.copy(),
-        local_coords=(coords - center) / scale,
-        center=center,
-        scale=scale,
-    )
+    def __len__(self):
+        return len(self.seeds)
 
 
-def extract_patches(cloud, patch_size: int, min_coverage: int = 1) -> list[Patch]:
+def extract_patches(cloud, patch_size: int, min_coverage: int = 1) -> Patches:
     """Cover the cloud with unit-sphere patches seeded by FPS order.
 
     Seeds are taken in farthest-point order, the order whose prefixes
     farthest_point_sample returns, until every point belongs to at least
     min_coverage patches; each patch is the patch_size nearest neighbours
-    of its seed (include-self), centred on its centroid and scaled to max
-    norm 1. min_coverage > 1 gives every point several independent patch
-    estimates to average at stitch time.
+    of its seed (include-self), one KdTree query per seed. The frames are
+    then computed for the whole (P, S, 3) stack at once: each patch is
+    centred on its centroid and scaled to max norm 1, or by 1 when all its
+    members coincide. min_coverage > 1 gives every point several
+    independent patch estimates to average at stitch time.
     """
     pts = as_points(cloud, "cloud", nonempty=True)
     n = len(pts)
@@ -226,36 +219,38 @@ def extract_patches(cloud, patch_size: int, min_coverage: int = 1) -> list[Patch
     tree = KdTree(pts)
 
     coverage = np.zeros(n, dtype=np.int64)
-    patches: list[Patch] = []
+    seeds, members = [], []
     for seed in _farthest_point_order(pts):
-        members, _ = tree.query(pts[seed][None, :], size)
-        patch = _make_patch(pts, seed, members[0])
-        patches.append(patch)
-        coverage[patch.member_indices] += 1
+        idx, _ = tree.query(pts[seed][None, :], size)
+        seeds.append(seed)
+        members.append(idx[0])
+        coverage[idx[0]] += 1
         if coverage.min() >= min_coverage:
             break
-    return patches
+    members = np.stack(members)
+    coords = pts[members]
+    centers, scales = centroid_radius(coords)
+    scales[scales == 0.0] = 1.0  # all members coincide; any scale keeps the frame exact
+    return Patches(np.array(seeds, dtype=np.int64), members,
+                   (coords - centers[:, None]) / scales[:, None, None], centers, scales)
 
 
-def stitch_patches(patches, denoised_locals, n: int) -> np.ndarray:
-    """Average each point's denormalized positions over the patches holding it."""
-    acc = np.zeros((n, 3))
-    cnt = np.zeros(n)
-    if len(patches) != len(denoised_locals):
-        raise ArgumentError(
-            f"{len(patches)} patches but {len(denoised_locals)} denoised blocks"
-        )
-    for patch, local in zip(patches, denoised_locals):
-        local = np.asarray(local, dtype=np.float64)
-        if local.shape != patch.local_coords.shape:
-            raise ArgumentError(
-                f"denoised block shape {local.shape} does not match patch "
-                f"{patch.local_coords.shape}"
-            )
-        world = local * patch.scale + patch.center
-        np.add.at(acc, patch.member_indices, world)
-        np.add.at(cnt, patch.member_indices, 1.0)
+def stitch_patches(patches: Patches, local, n: int) -> np.ndarray:
+    """Average each point's world positions over the patches holding it:
+    `local` is (P, S, 3) like patches.local, in the same frames, and each
+    coordinate of the (n, 3) result is one np.bincount in patch order."""
+    local = np.asarray(local, dtype=np.float64)
+    if local.shape != patches.local.shape:
+        raise ArgumentError(f"denoised shape {local.shape} is not the patches' {patches.local.shape}")
+    top = int(patches.members.max(initial=-1))
+    if n <= top:
+        raise ArgumentError(f"n={n} but the patches hold point index {top}")
+    world = (local * patches.scales[:, None, None] + patches.centers[:, None]).reshape(-1, 3)
+    members = patches.members.reshape(-1)
+    cnt = np.bincount(members, minlength=n)
     if np.any(cnt == 0):
         missing = np.flatnonzero(cnt == 0)[:8]
         raise ContractError(f"points not covered by any patch: {missing.tolist()}...")
+    acc = np.stack([np.bincount(members, weights=world[:, c], minlength=n)
+                    for c in range(3)], axis=1)
     return acc / cnt[:, None]

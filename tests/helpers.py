@@ -19,12 +19,17 @@ import noisetrans.autodiff as ad
 _TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
 
-def traced_autodiff_ops() -> tuple[str, ...]:
-    """The autodiff op names that perfbench/tracing.py wraps by name."""
+def perfbench_tracing():
+    """perfbench/tracing.py, loaded from its file."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tuple(tracing.AUTODIFF_OPS)
+    return tracing
+
+
+def traced_autodiff_ops() -> tuple[str, ...]:
+    """The autodiff op names that perfbench/tracing.py wraps by name."""
+    return tuple(perfbench_tracing().AUTODIFF_OPS)
 
 
 def central_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -255,7 +260,7 @@ def batched_model_loss(coords, gt, graphs, cfg, params, alpha=0.9, beta=0.1):
     # point embedding: three scales of stacked edge-feature layers
     unit_outs = []
     for u, k in enumerate(cfg.k_scales):
-        idx = graphs[("knn", k)]
+        idx = graphs.idx[:, :k]
         kk = idx.shape[1]
         f = x
         louts = []
@@ -281,7 +286,7 @@ def batched_model_loss(coords, gt, graphs, cfg, params, alpha=0.9, beta=0.1):
     emb = lin(np.maximum(lin(cat, "fuse.l0"), 0.0), "fuse.l1")
 
     if cfg.encoding_mode == "sparse":
-        idx, d2 = graphs["sparse"]
+        idx, d2 = graphs.idx[:, :cfg.sparse_k], graphs.d2[:, :cfg.sparse_k]
         xi = coords[:, None, :]
         xj = coords[idx]
         inv = 1.0 / np.maximum(d2, 1e-8)

@@ -53,10 +53,12 @@ def test_sub_mul_grad():
 
 
 def test_matmul_grad_both_sides():
-    a0 = RNG.standard_normal((3, 4))
-    b0 = RNG.standard_normal((4, 5))
-    check(lambda t: ad.matmul(t, Tensor(b0)), a0)
-    check(lambda t: ad.matmul(Tensor(a0), t), b0)
+    # a 1-D left operand is one row, with a plain and with a batched right one
+    for a0, b0 in [(RNG.standard_normal((3, 4)), RNG.standard_normal((4, 5))),
+                   (RNG.standard_normal(4), RNG.standard_normal((4, 5))),
+                   (RNG.standard_normal(4), RNG.standard_normal((3, 4, 5)))]:
+        check(lambda t: ad.matmul(t, Tensor(b0)), a0)
+        check(lambda t: ad.matmul(Tensor(a0), t), b0)
 
 
 def test_matmul_batched_with_shared_weight():
@@ -287,7 +289,8 @@ def test_linear_grad():
 
 
 LINEAR_CASES = [(grad, shape) for grad in ("all", "x", "weight", "bias")
-                for shape in ((6, 4), (3, 6, 4))] + [("x", (4,)), ("bias", (4,))]
+                for shape in ((6, 4), (3, 6, 4))] + [
+                    (grad, (4,)) for grad in ("x", "bias", "all", "weight")]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -295,8 +298,9 @@ LINEAR_CASES = [(grad, shape) for grad in ("all", "x", "weight", "bias")
 def test_linear_equals_matmul_add_chain_bitwise(needs_grad, shape, dtype):
     """One-op linear against the matmul + add chain it replaced: output and
     every gradient bit for bit, with x's gradient also taking a term from
-    a second consumer. (A 1-D x gives the bias the upstream gradient
-    itself; matmul's weight gradient does not support a 1-D x.)"""
+    a second consumer. A 1-D x gives the bias the upstream gradient itself
+    and the weight the outer product of x with it, which must also match
+    central differences."""
     ad.set_default_dtype(dtype)
     rng = np.random.default_rng(50)
     arrays = {"x": rng.standard_normal(shape), "weight": rng.standard_normal((4, 5)),
@@ -320,6 +324,14 @@ def test_linear_equals_matmul_add_chain_bitwise(needs_grad, shape, dtype):
             assert want_grads[name] is None, name
         else:
             assert g.dtype == dtype and g.tobytes() == want_grads[name].tobytes(), name
+    if len(shape) == 1 and grads["weight"] is not None:
+        def loss(weight):
+            y = arrays["x"] @ weight + arrays["bias"]
+            return float((y * wy).sum() + (arrays["x"] * arrays["x"]).sum())
+
+        fd = central_diff(loss, arrays["weight"])
+        tol = 1e-4 if dtype == np.float32 else 1e-8
+        assert np.abs(grads["weight"] - fd).max() <= tol * max(1.0, np.abs(fd).max())
 
 
 def op_cases():

@@ -379,15 +379,30 @@ def test_one_unit_sphere_frame_for_cloud_patch_and_noise_scale():
     norm = normalize_unit_sphere(PointCloud(pts))
     assert norm.scale == radius and np.array_equal(norm.center, center)
     assert reference_length(PointCloud(pts), "bounding_sphere_radius") == radius
-    # a patch's frame is that of its members, in their neighbour order
-    for patch in extract_patches(pts, 10):
-        p_center, p_radius = centroid_radius(pts[patch.member_indices])
-        assert patch.scale == p_radius and np.array_equal(patch.center, p_center)
-    # a zero radius: normalization refuses, a patch keeps scale 1, the
-    # noise reference length is 0
+    # a patch's frame is that of its members, in their neighbour order, and
+    # the frames of a (P, S, 3) stack equal each patch's own bitwise
+    patches = extract_patches(pts, 10)
+    centers, radii = centroid_radius(pts[patches.members])
+    assert centers.shape == (len(patches), 3) and radii.shape == (len(patches),)
+    deeper = centroid_radius(pts[patches.members][None])
+    assert np.array_equal(deeper[0][0], centers) and np.array_equal(deeper[1][0], radii)
+    for p, members in enumerate(patches.members):
+        p_center, p_radius = centroid_radius(pts[members])
+        assert patches.scales[p] == radii[p] == p_radius
+        assert np.array_equal(patches.centers[p], p_center)
+        assert np.array_equal(centers[p], p_center)
+    # a zero radius: normalization refuses, a patch keeps scale 1, also
+    # inside a stack, and the noise reference length is 0
     same = np.ones((5, 3))
     assert centroid_radius(same)[1] == 0.0
     with pytest.raises(DegenerateError):
         normalize_unit_sphere(PointCloud(same))
-    assert extract_patches(same, 5)[0].scale == 1.0
+    assert extract_patches(same, 5).scales.tolist() == [1.0]
+    cloud = np.concatenate([pts, same * 50.0])  # a far cluster of coincident points
+    patches = extract_patches(cloud, 5)
+    radii = centroid_radius(cloud[patches.members])[1]
+    flat = radii == 0.0
+    assert flat.sum() == 1 and patches.scales[flat].tolist() == [1.0]
+    assert np.array_equal(patches.scales[~flat], radii[~flat])
+    assert not patches.local[flat].any()
     assert reference_length(PointCloud(same), "bounding_sphere_radius") == 0.0

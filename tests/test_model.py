@@ -226,8 +226,8 @@ def test_fused_feature_layer_equals_chain_bitwise(profile, lpa, norm, dtype):
     graphs = build_graphs(patches, cfg)
     coords = patches.reshape(-1, 3).astype(dtype)
     for k in cfg.k_scales:
-        out, grads = two_layers(feature_layer, coords, graphs[("knn", k)], w)
-        want, want_grads = two_layers(chain_layer, coords, graphs[("knn", k)], w)
+        out, grads = two_layers(feature_layer, coords, graphs.idx[:, :k], w)
+        want, want_grads = two_layers(chain_layer, coords, graphs.idx[:, :k], w)
         assert out.dtype == dtype and out.tobytes() == want.tobytes()
         assert grads.keys() == want_grads.keys()
         for name, g in grads.items():
@@ -366,7 +366,7 @@ def test_sparse_encoding_against_loop_oracle():
     graphs = build_graphs(pts, cfg)
     with Tape():
         out = sparse_encoding(pts, graphs, w).data
-    idx, d2 = graphs["sparse"]
+    idx, d2 = graphs.idx[:, :2], graphs.d2[:, :2]
     w0, b0 = w["enc.l0.weight"].data, w["enc.l0.bias"].data
     w1, b1 = w["enc.l1.weight"].data, w["enc.l1.bias"].data
     for i in range(5):
@@ -443,8 +443,9 @@ def test_graphs_exclude_self():
     cfg = desk_config()
     pts = np.random.default_rng(16).standard_normal((20, 3))
     graphs = build_graphs(pts, cfg)
+    assert graphs.idx.shape == graphs.d2.shape == (20, cfg.min_points - 1)
     for k in cfg.k_scales:
-        idx = graphs[("knn", k)]
+        idx = graphs.idx[:, :k]
         assert idx.shape == (20, k)
         assert not np.any(idx == np.arange(20)[:, None])
 
@@ -453,17 +454,19 @@ def test_stacked_graphs_are_offset_per_patch_graphs():
     cfg = desk_config()
     patches = np.random.default_rng(17).standard_normal((3, 12, 3))
     stacked = build_graphs(patches, cfg)
-    assert stacked["patch_size"] == 12
+    assert stacked.patch_size == 12
+    sk = cfg.sparse_k
     for b, p in enumerate(patches):
         own = build_graphs(p, cfg)
         rows = slice(12 * b, 12 * (b + 1))
         for k in cfg.k_scales:
-            assert np.array_equal(stacked[("knn", k)][rows], own[("knn", k)] + 12 * b)
+            assert np.array_equal(stacked.idx[rows, :k], own.idx[:, :k] + 12 * b)
             ib, _ = knn_brute_force(p, p, k, exclude_self=True)
-            assert np.array_equal(own[("knn", k)], ib)
-        idx, d2 = stacked["sparse"]
-        assert np.array_equal(idx[rows], own["sparse"][0] + 12 * b)
-        assert np.array_equal(d2[rows], own["sparse"][1])
+            assert np.array_equal(own.idx[:, :k], ib)
+        assert np.array_equal(stacked.idx[rows, :sk], own.idx[:, :sk] + 12 * b)
+        assert np.array_equal(stacked.d2[rows, :sk], own.d2[:, :sk])
+        _, db = knn_brute_force(p, p, sk, exclude_self=True)
+        assert np.array_equal(own.d2[:, :sk], db)
 
 
 STACK_CONFIGS = {
@@ -491,7 +494,13 @@ def test_repeated_graphs_serve_rotated_copies():
     patches = np.random.default_rng(21).standard_normal((3, 16, 3))
     q, _ = np.linalg.qr(np.random.default_rng(22).standard_normal((3, 3)))
     rots = [np.eye(3), q]
-    graphs = repeat_graphs(build_graphs(patches, cfg), len(rots))
+    base = build_graphs(patches, cfg)
+    graphs = repeat_graphs(base, len(rots))
+    assert graphs.patch_size == base.patch_size == 16
+    for r in range(len(rots)):
+        copy = slice(48 * r, 48 * (r + 1))
+        assert np.array_equal(graphs.idx[copy], base.idx + 48 * r)
+        assert np.array_equal(graphs.d2[copy], base.d2)
     rows = np.concatenate([patches @ rot.T for rot in rots]).reshape(-1, 3)
     ys = forward(rows, w, graphs=graphs).data.reshape(len(rots), *patches.shape)
     for y, rot in zip(ys, rots):

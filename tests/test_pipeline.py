@@ -86,7 +86,7 @@ def test_build_training_pairs_local_frames(tmp_path):
     for pair in pairs:
         assert pair.noisy_local.shape == pair.clean_local.shape == (16, 3)
         assert np.sqrt((pair.noisy_local ** 2).sum(axis=1)).max() <= 1.0 + 1e-12
-        assert ("knn", 8) in pair.graphs
+        assert pair.graphs.patch_size == 16 and pair.graphs.idx[:, :8].shape == (16, 8)
 
 
 def test_train_decreases_loss_and_is_deterministic(tmp_path):
@@ -258,12 +258,12 @@ def test_denoise_matches_per_patch_rotation_loop():
         cloud = normalize_unit_sphere(PointCloud(coords))
         patches = extract_patches(cloud.coords, 16, min_coverage=3)
         outs = []
-        for p in patches:
-            acc = np.zeros_like(p.local_coords)
+        for local in patches.local:
+            acc = np.zeros_like(local)
             for rot in rots:
-                acc += forward(p.local_coords @ rot.T, w).data @ rot
+                acc += forward(local @ rot.T, w).data @ rot
             outs.append(acc / len(rots))
-        out = denormalize(PointCloud(stitch_patches(patches, outs, len(coords)),
+        out = denormalize(PointCloud(stitch_patches(patches, np.stack(outs), len(coords)),
                                      center=cloud.center, scale=cloud.scale)).coords
         n = estimate_normals(coords)
         return coords + ((out - coords) * n).sum(axis=1, keepdims=True) * n
@@ -305,10 +305,11 @@ def test_build_training_pairs_match_per_patch_queries(tmp_path):
     for entry in load_manifest(path)["entries"]:
         noisy = read_pointcloud(os.path.join(base, entry["noisy"])).coords
         clean = read_pointcloud(os.path.join(base, entry["clean"])).coords
-        for patch in extract_patches(noisy, 16):
-            gt, _ = knn_brute_force(clean, noisy[patch.member_indices], 1)
-            expected.append((patch.local_coords,
-                             (clean[gt[:, 0]] - patch.center) / patch.scale))
+        patches = extract_patches(noisy, 16)
+        for members, local, center, scale in zip(patches.members, patches.local,
+                                                 patches.centers, patches.scales):
+            gt, _ = knn_brute_force(clean, noisy[members], 1)
+            expected.append((local, (clean[gt[:, 0]] - center) / scale))
     assert len(pairs) == len(expected)
     for pair, (noisy_local, clean_local) in zip(pairs, expected):
         assert np.array_equal(pair.noisy_local, noisy_local)

@@ -138,36 +138,38 @@ def test_extract_patches_cover_and_local_frame():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((100, 3))
     patches = extract_patches(pts, 16)
+    p = len(patches)
+    assert patches.seeds.shape == (p,) and patches.members.shape == (p, 16)
+    assert patches.local.shape == (p, 16, 3) and patches.centers.shape == (p, 3)
+    assert patches.scales.shape == (p,)
     covered = np.zeros(100, dtype=bool)
-    for p in patches:
-        assert len(p.member_indices) == 16
-        covered[p.member_indices] = True
-        norms = np.sqrt((p.local_coords ** 2).sum(axis=1))
-        assert norms.max() <= 1.0 + 1e-12
-        # the local frame must reconstruct the original coordinates exactly
-        world = p.local_coords * p.scale + p.center
-        assert np.allclose(world, pts[p.member_indices], atol=1e-12)
-        # members are the patch-size nearest neighbours of the seed
-        ib, _ = knn_brute_force(pts, pts[p.seed_index][None], 16)
-        assert np.array_equal(p.member_indices, ib[0])
+    covered[patches.members] = True
     assert covered.all()
+    norms = np.sqrt((patches.local ** 2).sum(axis=2))
+    assert norms.max() <= 1.0 + 1e-12
+    # the local frame must reconstruct the original coordinates exactly
+    world = patches.local * patches.scales[:, None, None] + patches.centers[:, None]
+    assert np.allclose(world, pts[patches.members], atol=1e-12)
+    # members are the patch-size nearest neighbours of the seed
+    ib, _ = knn_brute_force(pts, pts[patches.seeds], 16)
+    assert np.array_equal(patches.members, ib)
 
 
 def test_extract_patches_small_cloud_caps_size():
     pts = np.random.default_rng(2).standard_normal((5, 3))
     patches = extract_patches(pts, 16)
-    assert len(patches) == 1 and len(patches[0].member_indices) == 5
+    assert len(patches) == 1 and patches.members.shape == (1, 5)
 
 
 def test_stitch_averages_overlapping_patches():
     pts = np.random.default_rng(8).standard_normal((30, 3))
     patches = extract_patches(pts, 12)
     # identity round trip: stitching the untouched locals returns the cloud
-    out = stitch_patches(patches, [p.local_coords for p in patches], 30)
+    out = stitch_patches(patches, patches.local, 30)
     assert np.allclose(out, pts, atol=1e-12)
     # shifting every patch by delta in world units shifts every point by delta
     delta = np.array([0.5, -1.0, 2.0])
-    shifted = [p.local_coords + delta / p.scale for p in patches]
+    shifted = patches.local + delta / patches.scales[:, None, None]
     out2 = stitch_patches(patches, shifted, 30)
     assert np.allclose(out2, pts + delta, atol=1e-10)
 
@@ -175,39 +177,41 @@ def test_stitch_averages_overlapping_patches():
 def test_stitch_three_patch_hand_oracle():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
     patches = extract_patches(pts, 3)
-    locals_ = []
-    for p in patches:
-        moved = p.local_coords.copy()
-        moved += 0.1  # constant offset in each patch's own frame
-        locals_.append(moved)
+    locals_ = patches.local + 0.1  # constant offset in each patch's own frame
     out = stitch_patches(patches, locals_, 4)
-    # every point's stitched position is the mean of its per-patch estimates
+    # every point's stitched position is the mean of its per-patch estimates,
+    # summed in patch order, so equal bit for bit
     acc = {i: [] for i in range(4)}
-    for p, loc in zip(patches, locals_):
-        world = loc * p.scale + p.center
-        for j, i in enumerate(p.member_indices):
+    for members, loc, center, scale in zip(patches.members, locals_,
+                                           patches.centers, patches.scales):
+        world = loc * scale + center
+        for j, i in enumerate(members):
             acc[int(i)].append(world[j])
     for i in range(4):
         assert acc[i], "uncovered point in fixture"
-        assert np.allclose(out[i], np.mean(acc[i], axis=0), atol=1e-12)
+        assert np.array_equal(out[i], np.mean(acc[i], axis=0))
 
 
 def test_stitch_contract_errors():
     pts = np.random.default_rng(9).standard_normal((10, 3))
     patches = extract_patches(pts, 4)
     with pytest.raises(ArgumentError):
-        stitch_patches(patches, [p.local_coords for p in patches[:-1]], 10)
+        stitch_patches(patches, patches.local[:-1], 10)
+    with pytest.raises(ArgumentError):
+        stitch_patches(patches, patches.local[:, :-1], 10)
     with pytest.raises(ContractError):
-        stitch_patches(patches, [p.local_coords for p in patches], 11)
+        stitch_patches(patches, patches.local, 11)
+    # n must exceed every member index: point 9 has no row in 9 or fewer
+    for n in (9, 0, -1):
+        with pytest.raises(ArgumentError, match="point index 9"):
+            stitch_patches(patches, patches.local, n)
 
 
 def test_extract_patches_min_coverage():
     rng = np.random.default_rng(21)
     pts = rng.standard_normal((120, 3))
     patches = extract_patches(pts, patch_size=16, min_coverage=3)
-    counts = np.zeros(120)
-    for p in patches:
-        counts[p.member_indices] += 1
+    counts = np.bincount(patches.members.ravel(), minlength=120)
     assert counts.min() >= 3
     assert len(patches) > len(extract_patches(pts, patch_size=16))
     with pytest.raises(ArgumentError):
@@ -285,11 +289,9 @@ def _fps_fixture_clouds():
 def test_extract_patches_seeds_are_a_farthest_point_prefix(name, min_coverage):
     pts = _fps_fixture_clouds()[name]
     patches = extract_patches(pts, 12, min_coverage)
-    seeds = [p.seed_index for p in patches]
+    seeds = patches.seeds.tolist()
     assert len(set(seeds)) == len(seeds)
     assert seeds == farthest_point_sample(pts, len(seeds)).tolist()
     # and the cover stopped at the first seed that met the coverage target
-    counts = np.zeros(len(pts))
-    for p in patches[:-1]:
-        counts[p.member_indices] += 1
+    counts = np.bincount(patches.members[:-1].ravel(), minlength=len(pts))
     assert counts.min() < min_coverage

@@ -1,13 +1,19 @@
 """Contracts between the package and the benchmark under perfbench/: the
-tracer looks autodiff ops up by name, and the traced tape record count of
-a training step is a benchmark metric."""
+tracer looks autodiff ops up by name and counts patches on the result of
+extract_patches, the training workload reads the fields of every training
+pair, and the traced tape record count of a training step is a benchmark
+metric."""
 import numpy as np
 
 import noisetrans.autodiff as ad
 from noisetrans.autodiff import Tape
+from noisetrans.corruption import NoiseSpec
+from noisetrans.geometry import read_pointcloud
 from noisetrans.model import desk_config, forward, init_weights
 from noisetrans.objective import loss_total
-from helpers import traced_autodiff_ops
+from noisetrans.pipeline import build_training_pairs, make_dataset
+from noisetrans.spatial import extract_patches
+from helpers import perfbench_tracing, traced_autodiff_ops
 
 
 def test_traced_autodiff_ops_exist():
@@ -31,3 +37,28 @@ def test_desk_training_step_tape_records():
     with Tape() as tape:
         loss_total(forward(x, w), x + 0.05 * rng.standard_normal(x.shape), x)
     assert len(tape) == 102
+
+
+def test_patch_count_and_training_pair_fields(tmp_path):
+    """RESULT_COUNTS turns extract_patches' result into the patch count, and
+    the training workload reads noisy_local, clean_local and graphs of every
+    build_training_pairs item, passing graphs to forward unread."""
+    suffix, count = perfbench_tracing().RESULT_COUNTS["spatial.extract_patches"]
+    assert suffix == "patches"
+    pts = np.random.default_rng(2).standard_normal((60, 3))
+    for size, coverage in ((16, 1), (12, 3), (100, 1)):
+        patches = extract_patches(pts, size, coverage)
+        assert count(patches) == len(patches.seeds) == len(patches.members) == len(patches.local)
+    cfg = desk_config()
+    w = init_weights(cfg, seed=3)
+    w["head.final.weight"].data = 0.05 * np.random.default_rng(4).standard_normal(
+        w["head.final.weight"].shape)
+    manifest = make_dataset(tmp_path / "data", ["sphere"], 64,
+                            NoiseSpec("gaussian", 0.02, seed=5), seed=5)
+    pairs = build_training_pairs(manifest, 16, cfg)
+    noisy = read_pointcloud(tmp_path / "data" / "shape_000_sphere_noisy.xyz").coords
+    assert len(pairs) == len(extract_patches(noisy, 16))
+    for item in pairs:
+        assert item.noisy_local.shape == item.clean_local.shape == (16, 3)
+        given = forward(item.noisy_local, w, graphs=item.graphs).data
+        assert given.tobytes() == forward(item.noisy_local, w).data.tobytes()
