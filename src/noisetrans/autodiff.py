@@ -20,10 +20,14 @@ on the array's shape and memory layout. Along a contiguous axis numpy sums
 pairwise: fewer than 8 terms left to right; up to 128 terms as eight
 interleaved partial sums, combined as a tree, then the remainder left to
 right; longer runs in two halves, recursively. Along a strided axis it
-adds element by element in index order. max/min route their gradient to
-the first attaining index, and the tape replays ops in exact reverse
-execution order, so identical inputs give bitwise-identical outputs and
-gradients.
+adds element by element in index order. _sum_rows takes the same pairwise
+sum over axis 0 of a 2-D array, one vector add per row or per block of
+eight rows, and adds the result to +0.0 as numpy's sum does, so it equals
+np.add.reduce along the contiguous last axis of the transpose bit for bit;
+the channel-first layer norm of edge_feature_layer uses it. max/min route
+their gradient to the first attaining index, and the tape replays ops in
+exact reverse execution order, so identical inputs give bitwise-identical
+outputs and gradients.
 """
 from __future__ import annotations
 
@@ -415,25 +419,71 @@ def _mean_last(a: np.ndarray) -> np.ndarray:
     return np.true_divide(np.add.reduce(a, axis=-1, keepdims=True), a.shape[-1])
 
 
+def _pairwise_rows(x: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D x summed in the order of numpy's pairwise sum of a
+    contiguous run, into a fresh array (see _sum_rows)."""
+    n = len(x)
+    if n < 8:
+        res = np.zeros(x.shape[1:], x.dtype)   # short runs start from +0.0
+        for row in x:
+            res += row
+        return res
+    if n <= 128:
+        m = n - n % 8
+        r = x[:8] if m == 8 else np.add(x[:8], x[8:16])
+        for i in range(16, m, 8):
+            r += x[i:i + 8]
+        q = np.add(r[0::2], r[1::2])          # r0+r1, r2+r3, r4+r5, r6+r7
+        q = np.add(q[0::2], q[1::2])
+        res = np.add(q[0], q[1], out=q[0])
+        for i in range(m, n):
+            res += x[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    res = _pairwise_rows(x[:half])
+    res += _pairwise_rows(x[half:])
+    return res
+
+
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """np.add.reduce over axis 0 of a 2-D x, bit for bit what np.add.reduce
+    gives along the contiguous last axis of x.T: one vector add per row or
+    per block of eight rows instead of one short reduction per column."""
+    res = _pairwise_rows(x)
+    res += 0.0   # numpy's sum starts from +0.0, so -0.0 terms sum to +0.0
+    return res
+
+
+def _mean_first(a: np.ndarray) -> np.ndarray:
+    """The mean over axis 0 of a 2-D a, as _mean_last takes it over the
+    last axis of a.T."""
+    return np.true_divide(_sum_rows(a), len(a))
+
+
 _LN_EPS = 1e-5   # layer norm's variance floor, for layer_norm and edge_feature_layer
 
 
-def _ln_normalize(x: np.ndarray, out=None):
+def _ln_normalize(x: np.ndarray, out=None, mean=_mean_last):
     """Layer norm's normalization of the last axis: returns xhat = (x -
     mean) / sqrt(var + eps) and inv = 1 / sqrt(var + eps), eps = _LN_EPS.
-    xhat is written into `out` when given; `out` may be x itself."""
-    mu = _mean_last(x)
+    xhat is written into `out` when given; `out` may be x itself. With
+    mean=_mean_first it normalizes the columns of a 2-D x instead."""
+    mu = mean(x)
     xhat = np.subtract(x, mu, out=out)
-    var = _mean_last(xhat * xhat)
+    var = mean(xhat * xhat)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
     return xhat, inv
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, out=None) -> np.ndarray:
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, out=None,
+                mean=_mean_last) -> np.ndarray:
     """gain * xhat + bias, computed in xhat's buffer (`out`, which may be x,
-    or a fresh array) unless a wider gain or bias would round there."""
-    h, _ = _ln_normalize(x, out=out)
+    or a fresh array) unless a wider gain or bias would round there. `mean`
+    picks the normalized axis, as in _ln_normalize; gain and bias broadcast
+    along it."""
+    h, _ = _ln_normalize(x, out=out, mean=mean)
     h = np.multiply(h, gain, out=_out(h, gain))
     return np.add(h, bias, out=_out(h, bias))
 
@@ -694,11 +744,17 @@ def edge_feature_layer(feats, neighbors, gate, weight, bias, gain=None,
     The forward works in place in a few buffers, with the arithmetic of the
     op chain gather_rows, reshape, broadcast_to, sub, concat, matmul,
     sigmoid, mul, linear, layer_norm, relu and reduce_max, so with every
-    input in the default dtype its output equals the chain's bitwise. A
-    recording tape gets one record, which keeps the inputs, `neighbors` and
-    the max's argmax. Its backward recomputes the gate and the pre-norm
+    input in the default dtype its output equals the chain's bitwise. The
+    (N, k, 2d) edges, the gate and the dense product are laid out as in the
+    chain. Everything after them is channel-first: the bias add writes h as
+    (width, N * k), the layer norm's mean and variance are _sum_rows over
+    its `width` rows, the max over the k neighbours and then the ReLU run on
+    whole rows, and the (N, width) output is one transpose copy of the
+    (width, N) maxima. A recording tape gets one record, which keeps the
+    inputs, `neighbors` and the max's argmax, found on the same
+    channel-first h. Its backward recomputes the gate and the pre-norm
     activations and then runs the chain's backward arithmetic in the chain's
-    order, so the gradients are bitwise equal to the chain's too.
+    order and layout, so the gradients are bitwise equal to the chain's too.
     """
     feats, weight, bias = as_tensor(feats), as_tensor(weight), as_tensor(bias)
     if feats.ndim != 2:
@@ -739,7 +795,8 @@ def edge_feature_layer(feats, neighbors, gate, weight, bias, gain=None,
         e = np.empty((n, k, 2 * d), dtype=x.dtype)
         xi = x[:, None, :]
         e[..., :d] = xi
-        np.subtract(x[idx], xi, out=e[..., d:])
+        # np.take copies the same rows as x[idx], several times faster
+        np.subtract(np.take(x, idx, axis=0), xi, out=e[..., d:])
         return e
 
     e = edges()
@@ -748,23 +805,35 @@ def edge_feature_layer(feats, neighbors, gate, weight, bias, gain=None,
         a = np.matmul(e, gate.data)
         a = _sigmoid(a, out=a)
         a *= e
-    h = _affine(a, weight.data, bias.data)
+    # the chain's own product; the bias add then writes h channel-first,
+    # h[c, i * k + s] being channel c of edge (i, s). The transposed
+    # product weight.T @ a.T would round differently at some shapes.
+    h = np.matmul(a, weight.data)
     del a, e
+    h = np.add(h.reshape(n * k, width).T, bias.data[:, None],
+               out=np.empty((width, n * k), np.result_type(h, bias.data)))
     if gain is not None:
-        h = _layer_norm(h, gain.data, norm_bias.data, out=h)
-    h = _relu(h, out=h)
-    # no NaN and no -0.0 is left, so any order of the max gives the same
-    # bits; k slot-wise maxima beat np.maximum.reduce over the middle axis
-    top = h[:, 0].copy()
+        h = _layer_norm(h, gain.data[:, None], norm_bias.data[:, None], out=h,
+                        mean=_mean_first)
+    # max over the k neighbours, then the ReLU on the maxima: the ReLU is
+    # monotone and sends NaN to 0, and fmax skips NaN, so this equals the
+    # max of the ReLU'd values bit for bit (the ReLU's +0.0 also clears the
+    # sign of a zero maximum); k slot-wise maxima beat a reduce over the
+    # short last axis
+    h = h.reshape(width, n, k)
+    top = h[..., 0].copy()
     for j in range(1, k):
-        np.maximum(top, h[:, j], out=top)
-    out = Tensor(top)
+        np.fmax(top, h[..., j], out=top)
+    top = _relu(top, out=top)
+    out = Tensor(top.T.copy())
     if not _recording(inputs):
         return out
-    # the ReLU passes no gradient where the max is 0: at the argmax the
-    # pre-ReLU value is positive exactly when the max is, so there -1,
-    # which matches no slot, stands in for the argmax
-    arg = np.where(top > 0, np.argmax(h, axis=1), -1)
+    # the ReLU passes no gradient where the max is 0, so there -1, which
+    # matches no slot, stands in for the argmax; elsewhere the argmax is
+    # the first slot holding the maximum; the copy keeps the backward's
+    # arrays, and so its sums, in the layout they always had
+    first = np.argmax(h == top[..., None], axis=2)
+    arg = np.where(top > 0, first, -1).T.copy()
 
     def bw(g):
         e = edges()

@@ -33,37 +33,38 @@ def check(build, x0, tol=1e-6, h=1e-6, seed=0):
     assert rel_err(analytic, fd).max() <= tol
 
 
-RNG = np.random.default_rng(42)
-
-
 def test_add_broadcast_grad():
-    b = RNG.standard_normal(4)
-    a = RNG.standard_normal((3, 4))
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal(4)
+    a = rng.standard_normal((3, 4))
     check(lambda t: ad.add(t, Tensor(b)), a)
     # gradient w.r.t. the broadcast side must be summed over the batch axis
-    check(lambda t: ad.add(Tensor(a), t), RNG.standard_normal(4))
+    check(lambda t: ad.add(Tensor(a), t), rng.standard_normal(4))
 
 
 def test_sub_mul_grad():
-    c0 = RNG.standard_normal((2, 3))
-    check(lambda t: ad.sub(t, Tensor(c0)), RNG.standard_normal((2, 3)))
-    c = RNG.standard_normal((2, 3))
-    check(lambda t: ad.mul(t, Tensor(c)), RNG.standard_normal((2, 3)))
-    check(lambda t: ad.mul(t, t), RNG.standard_normal((2, 3)))
+    rng = np.random.default_rng(2)
+    c0 = rng.standard_normal((2, 3))
+    check(lambda t: ad.sub(t, Tensor(c0)), rng.standard_normal((2, 3)))
+    c = rng.standard_normal((2, 3))
+    check(lambda t: ad.mul(t, Tensor(c)), rng.standard_normal((2, 3)))
+    check(lambda t: ad.mul(t, t), rng.standard_normal((2, 3)))
 
 
 def test_matmul_grad_both_sides():
+    rng = np.random.default_rng(3)
     # a 1-D left operand is one row, with a plain and with a batched right one
-    for a0, b0 in [(RNG.standard_normal((3, 4)), RNG.standard_normal((4, 5))),
-                   (RNG.standard_normal(4), RNG.standard_normal((4, 5))),
-                   (RNG.standard_normal(4), RNG.standard_normal((3, 4, 5)))]:
+    for a0, b0 in [(rng.standard_normal((3, 4)), rng.standard_normal((4, 5))),
+                   (rng.standard_normal(4), rng.standard_normal((4, 5))),
+                   (rng.standard_normal(4), rng.standard_normal((3, 4, 5)))]:
         check(lambda t: ad.matmul(t, Tensor(b0)), a0)
         check(lambda t: ad.matmul(Tensor(a0), t), b0)
 
 
 def test_matmul_batched_with_shared_weight():
-    x0 = RNG.standard_normal((2, 3, 4))
-    w0 = RNG.standard_normal((4, 5))
+    rng = np.random.default_rng(4)
+    x0 = rng.standard_normal((2, 3, 4))
+    w0 = rng.standard_normal((4, 5))
     check(lambda t: ad.matmul(t, Tensor(w0)), x0)
     check(lambda t: ad.matmul(Tensor(x0), t), w0)
 
@@ -75,13 +76,15 @@ def test_matmul_shape_mismatch():
 
 
 def test_relu_grad_away_from_kink():
-    x0 = RNG.standard_normal((5, 3))
+    rng = np.random.default_rng(5)
+    x0 = rng.standard_normal((5, 3))
     x0[np.abs(x0) < 0.1] = 0.5
     check(lambda t: ad.relu(t), x0)
 
 
 def test_sigmoid_gelu_grad():
-    x0 = RNG.standard_normal((4, 4))
+    rng = np.random.default_rng(6)
+    x0 = rng.standard_normal((4, 4))
     check(lambda t: ad.sigmoid(t), x0)
     check(lambda t: ad.gelu(t), x0)
 
@@ -128,7 +131,8 @@ def test_gelu_value_against_mpmath():
 
 
 def test_softmax_grad_and_rows_sum_to_one():
-    x0 = RNG.standard_normal((3, 6))
+    rng = np.random.default_rng(7)
+    x0 = rng.standard_normal((3, 6))
     with Tape():
         s = ad.softmax(Tensor(x0))
     assert np.allclose(s.data.sum(axis=-1), 1.0)
@@ -136,7 +140,8 @@ def test_softmax_grad_and_rows_sum_to_one():
 
 
 def test_softmax_shift_invariance():
-    x0 = RNG.standard_normal((2, 5))
+    rng = np.random.default_rng(8)
+    x0 = rng.standard_normal((2, 5))
     with Tape():
         a = ad.softmax(Tensor(x0)).data
         b = ad.softmax(Tensor(x0 + 1000.0)).data
@@ -144,25 +149,75 @@ def test_softmax_shift_invariance():
 
 
 def test_layer_norm_grad_all_inputs():
-    x0 = RNG.standard_normal((4, 6))
-    g0 = RNG.standard_normal(6)
-    b0 = RNG.standard_normal(6)
+    rng = np.random.default_rng(9)
+    x0 = rng.standard_normal((4, 6))
+    g0 = rng.standard_normal(6)
+    b0 = rng.standard_normal(6)
     check(lambda t: ad.layer_norm(t, Tensor(g0), Tensor(b0)), x0)
     check(lambda t: ad.layer_norm(Tensor(x0), t, Tensor(b0)), g0)
     check(lambda t: ad.layer_norm(Tensor(x0), Tensor(g0), t), b0)
 
 
 def test_layer_norm_output_statistics():
-    x0 = RNG.standard_normal((8, 16)) * 3 + 5
+    rng = np.random.default_rng(10)
+    x0 = rng.standard_normal((8, 16)) * 3 + 5
     with Tape():
         y = ad.layer_norm(Tensor(x0), Tensor(np.ones(16)), Tensor(np.zeros(16))).data
     assert np.allclose(y.mean(axis=-1), 0.0, atol=1e-12)
     assert np.allclose(y.std(axis=-1), 1.0, atol=1e-3)
 
 
+def sum_rows_columns(n, dtype, rng):
+    """An (n, 10) array whose columns are the runs that _sum_rows adds up:
+    normal values, magnitudes over the dtype's whole range, all -0.0, mixed
+    signed zeros, +inf, +inf with -inf, NaN, and integers that sum
+    exactly."""
+    top = 300 if dtype == np.float64 else 37
+    x = np.empty((n, 10))
+    x[:, 0] = rng.standard_normal(n)
+    x[:, 1] = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-top, top, n)
+    x[:, 2] = 10.0 ** rng.uniform(-top, top, n)
+    x[:, 3] = -0.0
+    x[:, 4] = rng.choice([-0.0, 0.0], n)
+    x[:, 5:8] = rng.standard_normal((n, 3))
+    x[rng.integers(n), 5] = np.inf
+    x[0, 6], x[-1, 6] = np.inf, -np.inf
+    x[rng.integers(n), 7] = np.nan
+    x[:, 8] = rng.integers(-50, 50, n)
+    x[:, 9] = rng.standard_normal(n) * 1e-3 + 1e3
+    return x.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sum_rows_equals_add_reduce_bitwise(dtype):
+    """_sum_rows(x) against np.add.reduce along the contiguous last axis of
+    x.T, bit for bit, for every row count from 1 to 300: the short runs,
+    the eight partial sums with and without a remainder, and the
+    recursive halves. The input is C-ordered, F-ordered, or a strided view
+    along either axis; the result is a fresh array."""
+    rng = np.random.default_rng(24)
+    for n in range(1, 301):
+        x = sum_rows_columns(n, dtype, rng)
+        wide = np.empty((2 * n, 2 * x.shape[1]), dtype)
+        wide[::2, ::2] = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.add.reduce(np.ascontiguousarray(x.T), axis=-1)
+            for view in (x, np.asfortranarray(x), wide[::2, ::2],
+                         np.asfortranarray(wide)[::2, ::2]):
+                got = ad._sum_rows(view)
+                assert got.dtype == dtype and got.shape == (x.shape[1],)
+                assert got.tobytes() == want.tobytes(), (
+                    f"{n} rows, strides {view.strides}: numpy's pairwise sum order "
+                    "changed, so the channel-first layer norm of the LPA layer "
+                    "(edge_feature_layer) no longer rounds as layer_norm does")
+                assert not np.shares_memory(got, view)
+    assert ad._sum_rows(np.full((9, 1), -0.0, dtype)).tobytes() == np.zeros(1, dtype).tobytes()
+
+
 def test_gather_rows_grad_with_repeats():
+    rng = np.random.default_rng(11)
     idx = np.array([[0, 2], [2, 2], [1, 0]])
-    check(lambda t: ad.gather_rows(t, idx), RNG.standard_normal((3, 4)))
+    check(lambda t: ad.gather_rows(t, idx), rng.standard_normal((3, 4)))
 
 
 def test_gather_rows_out_of_range():
@@ -172,7 +227,8 @@ def test_gather_rows_out_of_range():
 
 
 def test_reduce_max_min_grad():
-    x0 = RNG.standard_normal((4, 5))
+    rng = np.random.default_rng(12)
+    x0 = rng.standard_normal((4, 5))
     check(lambda t: ad.reduce_max(t, axis=1), x0)
     check(lambda t: ad.reduce_min(t, axis=0), x0)
 
@@ -188,9 +244,10 @@ def test_reduce_max_tie_routes_to_first():
 def test_ops_match_their_numpy_formulas_bitwise():
     """The reductions and products of the ops equal the plain numpy
     formulas (np.mean, np.tensordot, put_along_axis) bit for bit."""
-    x0 = RNG.standard_normal((4, 5, 6))
+    rng = np.random.default_rng(13)
+    x0 = rng.standard_normal((4, 5, 6))
     x0[1, 2:4, 3] = 7.0  # a tie: the first index takes the gradient
-    g0 = RNG.standard_normal((4, 5, 6))
+    g0 = rng.standard_normal((4, 5, 6))
     for axis in range(3):
         for op, arg in ((ad.reduce_max, np.argmax), (ad.reduce_min, np.argmin)):
             t = Tensor(x0, requires_grad=True)
@@ -202,10 +259,10 @@ def test_ops_match_their_numpy_formulas_bitwise():
                               np.expand_dims(w, axis), axis)
             assert np.array_equal(t.grad, expect)
     a = Tensor(x0, requires_grad=True)
-    b = Tensor(RNG.standard_normal((6, 3)), requires_grad=True)
-    gain = Tensor(RNG.standard_normal(6), requires_grad=True)
-    bias = Tensor(RNG.standard_normal(6), requires_grad=True)
-    wy = RNG.standard_normal((4, 5, 3))
+    b = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+    gain = Tensor(rng.standard_normal(6), requires_grad=True)
+    bias = Tensor(rng.standard_normal(6), requires_grad=True)
+    wy = rng.standard_normal((4, 5, 3))
     with Tape() as tape:
         y = ad.matmul(ad.layer_norm(a, gain, bias), b)
         tape.backward(ad.reduce_sum(ad.mul(y, Tensor(wy))))
@@ -253,15 +310,17 @@ def test_edge_feature_layer_grad_every_input(gated, normed):
 
 
 def test_reduce_sum_mean_grad():
-    x0 = RNG.standard_normal((3, 4))
+    rng = np.random.default_rng(14)
+    x0 = rng.standard_normal((3, 4))
     check(lambda t: ad.reduce_sum(t, axis=1), x0)
     check(lambda t: ad.mean(t, axis=0), x0)
     check(lambda t: ad.mean(t), x0)
 
 
 def test_concat_reshape_transpose_broadcast_grad():
-    x0 = RNG.standard_normal((2, 3))
-    other = RNG.standard_normal((2, 2))
+    rng = np.random.default_rng(15)
+    x0 = rng.standard_normal((2, 3))
+    other = rng.standard_normal((2, 2))
     check(lambda t: ad.concat([t, Tensor(other)], axis=1), x0)
     check(lambda t: ad.reshape(t, (3, 2)), x0)
     check(lambda t: ad.transpose(t, (1, 0)), x0)
@@ -269,8 +328,9 @@ def test_concat_reshape_transpose_broadcast_grad():
 
 
 def test_pairwise_sqdist_values_and_grad():
-    a0 = RNG.standard_normal((5, 3))
-    b0 = RNG.standard_normal((7, 3))
+    rng = np.random.default_rng(16)
+    a0 = rng.standard_normal((5, 3))
+    b0 = rng.standard_normal((7, 3))
     with Tape():
         d = ad.pairwise_sqdist(Tensor(a0), Tensor(b0)).data
     brute = ((a0[:, None, :] - b0[None, :, :]) ** 2).sum(axis=-1)
@@ -280,9 +340,10 @@ def test_pairwise_sqdist_values_and_grad():
 
 
 def test_linear_grad():
-    x0 = RNG.standard_normal((4, 3))
-    w0 = RNG.standard_normal((3, 2))
-    b0 = RNG.standard_normal(2)
+    rng = np.random.default_rng(17)
+    x0 = rng.standard_normal((4, 3))
+    w0 = rng.standard_normal((3, 2))
+    b0 = rng.standard_normal(2)
     check(lambda t: ad.linear(t, Tensor(w0), Tensor(b0)), x0)
     check(lambda t: ad.linear(Tensor(x0), t, Tensor(b0)), w0)
     check(lambda t: ad.linear(Tensor(x0), Tensor(w0), t), b0)
@@ -371,6 +432,7 @@ def op_cases():
 
 @pytest.mark.parametrize("op", sorted({*traced_autodiff_ops(), "edge_feature_layer"}))
 def test_every_op_writes_no_input_and_has_one_forward(op):
+    rng = np.random.default_rng(18)
     # ops compute in place in the array they return: it must never be an
     # input, with or without a tape, and no backward may write into an
     # input either; a tape changes what the op keeps, not its output
@@ -383,7 +445,7 @@ def test_every_op_writes_no_input_and_has_one_forward(op):
     with Tape() as tape:
         out = build(inputs)
         assert out.data.tobytes() == plain.data.tobytes()
-        tape.backward(ad.reduce_sum(ad.mul(out, Tensor(RNG.standard_normal(out.shape)))))
+        tape.backward(ad.reduce_sum(ad.mul(out, Tensor(rng.standard_normal(out.shape)))))
     for group in (plain_inputs, inputs):
         assert [t.data.tobytes() for t in group] == [a.tobytes() for a in arrays]
 
@@ -397,11 +459,12 @@ def test_gradient_accumulates_over_reuse():
 
 @pytest.mark.parametrize("op", [ad.add, ad.sub])
 def test_a_gradient_passed_to_two_inputs_is_not_shared(op):
+    rng = np.random.default_rng(19)
     # add and sub hand the same gradient to both inputs; when `a` later
     # gains a second term, `b`'s gradient must not change with it
-    w, c = RNG.standard_normal(3), RNG.standard_normal(3)
-    a = Tensor(RNG.standard_normal(3), requires_grad=True)
-    b = Tensor(RNG.standard_normal(3), requires_grad=True)
+    w, c = rng.standard_normal(3), rng.standard_normal(3)
+    a = Tensor(rng.standard_normal(3), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
     with Tape() as tape:
         z = ad.mul(a, Tensor(c))
         y = op(a, b)
@@ -411,8 +474,9 @@ def test_a_gradient_passed_to_two_inputs_is_not_shared(op):
 
 
 def aliasing_cases():
+    rng = np.random.default_rng(20)
     arrays, neighbors = edge_layer_inputs()
-    x = RNG.standard_normal((3, 4))
+    x = rng.standard_normal((3, 4))
     return {
         "softmax": ([x], lambda t: [ad.softmax(t[0])]),
         "pairwise_sqdist": ([x[:, :3], x[:2, 1:]],
@@ -428,6 +492,7 @@ def aliasing_cases():
 
 @pytest.mark.parametrize("case", sorted(aliasing_cases()))
 def test_no_gradient_aliases_another(case):
+    rng = np.random.default_rng(21)
     # ops hand a freshly made gradient to a leaf without a copy; none may
     # be a view of another leaf's gradient, of the upstream gradient or of
     # any data, or a later accumulation would leak into it
@@ -436,7 +501,7 @@ def test_no_gradient_aliases_another(case):
     with Tape() as tape:
         outs = build(leaves)
         loss = ad.reduce_sum(ad.concat(
-            [ad.reshape(ad.mul(o, Tensor(RNG.standard_normal(o.shape))), (-1,))
+            [ad.reshape(ad.mul(o, Tensor(rng.standard_normal(o.shape))), (-1,))
              for o in outs], axis=0))
         tape.backward(loss)
     arrays_seen = [t.data for t in leaves] + [o.data for o in outs]
@@ -447,15 +512,16 @@ def test_no_gradient_aliases_another(case):
 
 
 def test_backward_keeps_only_leaf_grads():
+    rng = np.random.default_rng(22)
     # the same training step replayed by the loop that keeps every
     # intermediate gradient gives bitwise the same leaf gradients
     from noisetrans.model import desk_config, forward, init_weights
     from noisetrans.objective import loss_total
 
     w = init_weights(desk_config(), seed=1)
-    w["head.final.weight"].data = 0.05 * RNG.standard_normal(w["head.final.weight"].shape)
-    x = RNG.standard_normal((24, 3))
-    gt = x + 0.05 * RNG.standard_normal(x.shape)
+    w["head.final.weight"].data = 0.05 * rng.standard_normal(w["head.final.weight"].shape)
+    x = rng.standard_normal((24, 3))
+    gt = x + 0.05 * rng.standard_normal(x.shape)
 
     def step():
         w.zero_grad()

@@ -206,6 +206,39 @@ def two_layers(layer, coords, neighbors, weights):
     return cat.data, grads
 
 
+def untaped_two_layers(layer, coords, neighbors, weights):
+    """two_layers' output with no tape: the plain forward of both layers."""
+    f1 = layer(Tensor(coords), neighbors, weights, "embed.u0.l0")
+    f2 = layer(f1, neighbors, weights, "embed.u0.l1")
+    return np.concatenate([f1.data, f2.data], axis=1)
+
+
+def fused_case_coords(cfg, dtype, seed=31):
+    """Three patches with coincident and duplicated points and a duplicated
+    patch, stacked, and their graphs."""
+    rng = np.random.default_rng(seed)
+    n = cfg.min_points + 4
+    patches = rng.standard_normal((3, n, 3))
+    patches[0, 1] = patches[0, 2] = patches[0, 3]  # coincident points
+    patches[1, 5:9] = patches[1, :4]               # duplicated points
+    patches[2] = patches[0]                        # a duplicated patch
+    return patches.reshape(-1, 3).astype(dtype), build_graphs(patches, cfg)
+
+
+def assert_fused_equals_chain(coords, neighbors, w, dtype):
+    """The fused layer against the chain, two layers deep: the output and
+    every gradient under a tape, and the output of the plain forward."""
+    out, grads = two_layers(feature_layer, coords, neighbors, w)
+    want, want_grads = two_layers(chain_layer, coords, neighbors, w)
+    assert out.dtype == dtype and out.tobytes() == want.tobytes()
+    assert grads.keys() == want_grads.keys()
+    for name, g in grads.items():
+        assert g.dtype == dtype and g.tobytes() == want_grads[name].tobytes(), name
+    plain = untaped_two_layers(feature_layer, coords, neighbors, w)
+    assert plain.dtype == dtype and plain.tobytes() == out.tobytes()
+    assert plain.tobytes() == untaped_two_layers(chain_layer, coords, neighbors, w).tobytes()
+
+
 FUSED_CASES = [(profile, lpa, norm) for profile in ("desk", "full")
                for lpa in (True, False) for norm in (True, False)]
 
@@ -217,21 +250,45 @@ def test_fused_feature_layer_equals_chain_bitwise(profile, lpa, norm, dtype):
     make = desk_config if profile == "desk" else full_config
     cfg = make(lpa_enabled=lpa, embed_norm=norm)
     w = generic_weights(cfg, seed=30)
-    rng = np.random.default_rng(31)
-    n = cfg.min_points + 4
-    patches = rng.standard_normal((3, n, 3))
-    patches[0, 1] = patches[0, 2] = patches[0, 3]  # coincident points
-    patches[1, 5:9] = patches[1, :4]               # duplicated points
-    patches[2] = patches[0]                        # a duplicated patch
-    graphs = build_graphs(patches, cfg)
-    coords = patches.reshape(-1, 3).astype(dtype)
+    coords, graphs = fused_case_coords(cfg, dtype)
     for k in cfg.k_scales:
-        out, grads = two_layers(feature_layer, coords, graphs.idx[:, :k], w)
-        want, want_grads = two_layers(chain_layer, coords, graphs.idx[:, :k], w)
-        assert out.dtype == dtype and out.tobytes() == want.tobytes()
-        assert grads.keys() == want_grads.keys()
-        for name, g in grads.items():
-            assert g.dtype == dtype and g.tobytes() == want_grads[name].tobytes(), name
+        assert_fused_equals_chain(coords, graphs.idx[:, :k], w, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("width", [5, 12, 33, 130])
+def test_fused_feature_layer_widths_equal_chain_bitwise(width, dtype):
+    """Layer widths that reach every branch of the channel-first layer
+    norm's pairwise sum (fewer than 8 channels; 8 partial sums with a
+    remainder, with one block or several; two recursive halves), with k
+    = 1 and with the desk scales."""
+    ad.set_default_dtype(dtype)
+    cfg = desk_config(feat_width=width)
+    w = generic_weights(cfg, seed=34)
+    coords, graphs = fused_case_coords(cfg, dtype, seed=35)
+    nearest = graphs.idx[:, 1:2]  # the nearest other point, for k = 1
+    for neighbors in [graphs.idx[:, :1], nearest] + [graphs.idx[:, :k] for k in cfg.k_scales]:
+        assert_fused_equals_chain(coords, neighbors, w, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_fused_feature_layer_non_finite_feats_equal_chain_bitwise(dtype):
+    """NaN and infinite features make whole edges NaN. The chain's ReLU
+    sends them to 0 before its max; the fused layer's fmax skips them and
+    its ReLU clears a NaN maximum. The plain forwards agree bit for bit."""
+    ad.set_default_dtype(dtype)
+    cfg = desk_config()
+    w = generic_weights(cfg, seed=36)
+    coords, graphs = fused_case_coords(cfg, dtype, seed=37)
+    coords[4, 1] = np.nan
+    coords[7] = np.inf
+    coords[9, 2] = -np.inf
+    for k in (1,) + cfg.k_scales:
+        neighbors = graphs.idx[:, :k]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = untaped_two_layers(feature_layer, coords, neighbors, w)
+            want = untaped_two_layers(chain_layer, coords, neighbors, w)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes(), k
 
 
 def test_fused_feature_layer_equals_chain_in_a_training_step(monkeypatch):
