@@ -52,7 +52,6 @@ from .spatial import (
     extract_patches,
     farthest_point_sample,
     knn_brute_force,
-    knn_query,
     stitch_patches,
 )
 

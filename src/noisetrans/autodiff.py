@@ -704,15 +704,13 @@ def pairwise_sqdist(a, b) -> Tensor:
     return _record("pairwise_sqdist", out, (a, b), bw)
 
 
-def linear(x, weight, bias=None) -> Tensor:
-    """x @ weight (+ bias), the shared-weight dense layer used everywhere.
+def linear(x, weight, bias) -> Tensor:
+    """x @ weight + bias, the shared-weight dense layer used everywhere.
 
-    With a bias it is one op: the matmul, then the bias added in place. Its
-    backward runs the arithmetic of matmul followed by add in the same
-    order, so with every input in the default dtype its output and
-    gradients equal those of the two ops bitwise."""
-    if bias is None:
-        return matmul(x, weight)
+    One op: the matmul, then the bias added in place. Its backward runs the
+    arithmetic of matmul followed by add in the same order, so with every
+    input in the default dtype its output and gradients equal those of the
+    two ops bitwise."""
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     _check_matmul("linear", x, weight)
     out = Tensor(_affine(x.data, weight.data, bias.data))

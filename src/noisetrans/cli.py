@@ -26,7 +26,7 @@ from .geometry import (
     read_text,
     write_pointcloud,
 )
-from .model import ModelConfig, desk_config, full_config, init_weights, load_weights, save_weights
+from .model import ModelConfig, desk_config, full_config, load_weights
 from .pipeline import (
     auto_iterations,
     denoise,
@@ -54,11 +54,14 @@ def read_config_file(path) -> dict:
 
 
 def _resolve(args, defaults: dict) -> dict:
-    """CLI flag > config file > default, coerced to the default's type."""
-    file_vals = read_config_file(args.config) if getattr(args, "config", None) else {}
+    """CLI flag > config file > default, coerced to the default's type;
+    the shared flags the subcommand's parser added join `defaults`."""
+    defaults = {**{name: default for name, (default, _) in _SHARED_FLAGS.items()
+                   if hasattr(args, name)}, **defaults}
+    file_vals = read_config_file(args.config) if args.config else {}
     resolved = {}
     for key, default in defaults.items():
-        cli_val = getattr(args, key, None)
+        cli_val = getattr(args, key)
         if cli_val is not None:
             resolved[key] = cli_val
         elif key in file_vals:
@@ -106,26 +109,24 @@ def _set_precision(resolved: dict) -> None:
     ad.set_default_dtype(np.float32 if resolved["precision"] == "f32" else np.float64)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None)
+# Flags that more than one subcommand reads: name -> (built-in default,
+# argparse keywords). Each subcommand's parser adds only the ones it reads,
+# and _resolve supplies their defaults.
+_SHARED_FLAGS = {
+    "seed": (0, {"type": int}),
+    "profile": ("desk", {"choices": ("desk", "full")}),
+    "precision": ("f64", {"choices": ("f32", "f64")}),
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, *names: str) -> None:
     p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--profile", choices=("desk", "full"), default=None)
-    p.add_argument("--precision", choices=("f32", "f64"), default=None)
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--encoding", choices=("sparse", "coordinate", "none"), default=None)
-    p.add_argument("--lpa", choices=("on", "off"), default=None)
-    p.add_argument("--attention", choices=("on", "off"), default=None)
-
-
-_COMMON_DEFAULTS = {"seed": 0, "profile": "desk", "precision": "f64"}
-_MODEL_DEFAULTS = {"encoding": "sparse", "lpa": "on", "attention": "on"}
+    for name in names:
+        p.add_argument(f"--{name}", default=None, **_SHARED_FLAGS[name][1])
 
 
 def cmd_make_dataset(args) -> int:
     defaults = {
-        **_COMMON_DEFAULTS,
         "shapes": "sphere,torus", "points": 1024, "noise": "gaussian",
         "noise_level": "0.02", "noise_ref": "bounding_sphere_radius",
         "count": 0, "out": "dataset",
@@ -152,7 +153,7 @@ def cmd_make_dataset(args) -> int:
 
 def cmd_train(args) -> int:
     defaults = {
-        **_COMMON_DEFAULTS, **_MODEL_DEFAULTS,
+        "encoding": "sparse", "lpa": "on", "attention": "on",
         "data": "", "out": "run", "epochs": 30, "lr": 5e-4, "halve_every": 50,
         "patch_size": 256, "alpha": 0.9, "beta": 0.1, "anchor": "input",
         "average_tail": 1, "resume": "",
@@ -163,13 +164,6 @@ def cmd_train(args) -> int:
     _set_precision(r)
     cfg = _model_config(r)
     _dump_resolved(r, r["out"])
-    if int(r["epochs"]) == 0:
-        weights = init_weights(cfg, seed=r["seed"])
-        path = os.path.join(r["out"], "weights.ntw")
-        os.makedirs(r["out"], exist_ok=True)
-        save_weights(weights, path)
-        print(path)
-        return 0
     result = train(
         r["data"], cfg, int(r["epochs"]), r["out"], base_lr=float(r["lr"]),
         halve_every=int(r["halve_every"]), seed=r["seed"],
@@ -184,7 +178,6 @@ def cmd_train(args) -> int:
 
 def cmd_denoise(args) -> int:
     defaults = {
-        **_COMMON_DEFAULTS,
         "infile": "", "weights": "", "out": "denoised.xyz",
         "iterations": "auto", "noise_level": "", "patch_size": 256,
         "rotations": 1,
@@ -226,7 +219,6 @@ def _parse_sweep(spec: str):
 
 def cmd_eval(args) -> int:
     defaults = {
-        **_COMMON_DEFAULTS, **_MODEL_DEFAULTS,
         "denoised": "", "clean": "", "mesh": "", "surface": "",
         "noise": "", "iterations_used": 0, "out_report": "report",
         "export_colored": False, "sweep": "", "data": "", "test_data": "",
@@ -291,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-dataset", help="synthesize paired clean/noisy clouds")
-    _add_common(p)
+    _add_shared(p, "seed")
     p.add_argument("--shapes", default=None, help="comma list: sphere,torus[:R:r],cube, or mesh paths")
     p.add_argument("--points", type=int, default=None)
     p.add_argument("--noise", choices=("gaussian", "laplace", "uniform"), default=None)
@@ -304,8 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_make_dataset)
 
     p = sub.add_parser("train", help="train a model on a dataset manifest")
-    _add_common(p)
-    _add_model_flags(p)
+    _add_shared(p, "seed", "profile", "precision")
+    p.add_argument("--encoding", choices=("sparse", "coordinate", "none"), default=None)
+    p.add_argument("--lpa", choices=("on", "off"), default=None)
+    p.add_argument("--attention", choices=("on", "off"), default=None)
     p.add_argument("--data", default=None, help="manifest.json from make-dataset")
     p.add_argument("--out", dest="out", default=None, help="output run directory")
     p.add_argument("--out-weights", dest="out", default=None, help="alias for --out")
@@ -322,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("denoise", help="denoise a point cloud file")
-    _add_common(p)
+    _add_shared(p, "precision")
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--weights", default=None)
     p.add_argument("--iterations", default=None, help="an integer or 'auto'")
@@ -335,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("eval", help="evaluate denoised clouds or run an ablation sweep")
-    _add_common(p)
-    _add_model_flags(p)
+    _add_shared(p, "seed", "profile", "precision")
     p.add_argument("--denoised", default=None, help="comma list of denoised clouds")
     p.add_argument("--clean", default=None, help="comma list of clean clouds")
     p.add_argument("--mesh", default=None, help="ground-truth mesh (off/obj)")

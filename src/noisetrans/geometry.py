@@ -128,24 +128,22 @@ def denormalize(cloud: PointCloud) -> PointCloud:
 _FORMATS = ("xyz", "ply")
 
 
-def _infer_format(path: str, fmt: str | None) -> str:
-    if fmt is None:
-        fmt = str(path).rsplit(".", 1)[-1].lower()
-    if fmt not in _FORMATS:
-        raise ArgumentError(f"unknown point cloud format '{fmt}' (use xyz or ply)")
+def _file_format(path, kind: str, formats: tuple[str, ...]) -> str:
+    """The format the file's extension names, which must be one of `formats`."""
+    fmt = str(path).rsplit(".", 1)[-1].lower()
+    if fmt not in formats:
+        raise ArgumentError(f"unknown {kind} format '{fmt}' (use {' or '.join(formats)})")
     return fmt
 
 
-def read_pointcloud(path, fmt: str | None = None) -> PointCloud:
-    fmt = _infer_format(path, fmt)
-    if fmt == "xyz":
+def read_pointcloud(path) -> PointCloud:
+    if _file_format(path, "point cloud", _FORMATS) == "xyz":
         return _read_xyz(path)
     return _read_ply(path)
 
 
-def write_pointcloud(cloud: PointCloud, path, fmt: str | None = None) -> None:
-    fmt = _infer_format(path, fmt)
-    if fmt == "xyz":
+def write_pointcloud(cloud: PointCloud, path) -> None:
+    if _file_format(path, "point cloud", _FORMATS) == "xyz":
         _write_xyz(cloud.coords, path)
     else:
         _write_ply(cloud.coords, path)
@@ -313,15 +311,11 @@ def write_colored_cloud(coords: np.ndarray, distances: np.ndarray, path) -> None
 # off / obj mesh loading
 # ---------------------------------------------------------------------------
 
-def load_mesh(path, fmt: str | None = None) -> TriMesh:
-    if fmt is None:
-        fmt = str(path).rsplit(".", 1)[-1].lower()
-    if fmt == "off":
+def load_mesh(path) -> TriMesh:
+    if _file_format(path, "mesh", ("off", "obj")) == "off":
         verts, faces = _read_off(path)
-    elif fmt == "obj":
-        verts, faces = _read_obj(path)
     else:
-        raise ArgumentError(f"unknown mesh format '{fmt}' (use off or obj)")
+        verts, faces = _read_obj(path)
     tris = []
     for face in faces:
         # fan triangulation for polygons

@@ -228,7 +228,10 @@ def load_weights(path, expect_config: ModelConfig | None = None) -> ModelWeights
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported weights version {version}")
     cfg_len = int.from_bytes(blob[8:12], "little")
-    cfg = ModelConfig.from_dict(json.loads(blob[12:12 + cfg_len].decode("utf-8")))
+    try:
+        cfg = ModelConfig.from_dict(json.loads(blob[12:12 + cfg_len].decode("utf-8")))
+    except (ValueError, TypeError, KeyError, ArgumentError) as exc:
+        raise FormatError(f"{path}: bad model config block ({exc})") from None
     if expect_config is not None:
         for key, val in cfg.to_dict().items():
             want = expect_config.to_dict()[key]

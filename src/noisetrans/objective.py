@@ -199,7 +199,8 @@ def loss_total(y: Tensor, gt, x, alpha: float = 0.9, beta: float = 0.1,
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Bias-corrected adaptive updates with lr halved every `halve_every` epochs.
+    """Bias-corrected adaptive updates with lr halved every `halve_every`
+    epochs, betas (0.9, 0.999) and eps 1e-8.
 
     The moments of all parameters live in one flat vector each, so a step
     is a few whole-vector operations into reused buffers; `m[name]` and
@@ -207,12 +208,9 @@ class Adam:
     result is that of a per-parameter update."""
 
     def __init__(self, weights: ModelWeights, base_lr: float = 5e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  halve_every: int = 50):
         self.weights = weights
         self.base_lr = float(base_lr)
-        self.betas = (float(betas[0]), float(betas[1]))
-        self.eps = float(eps)
         self.halve_every = int(halve_every)
         self.step_count = 0
         dtype = np.result_type(*{t.data.dtype for t in weights.params.values()})
@@ -253,7 +251,7 @@ class Adam:
         if not np.isfinite(g).all():
             bad = ad.first_non_finite_grad(params.items())
             raise NumericError(f"non-finite gradient for parameter '{bad}'; step refused")
-        b1, b2 = self.betas
+        b1, b2 = 0.9, 0.999
         self.step_count += 1
         t = self.step_count
         lr = self.lr_at(epoch)
@@ -270,7 +268,7 @@ class Adam:
         v += np.multiply(g_tmp, g, out=g_tmp)
         np.multiply(np.divide(m, corr1, out=update), lr, out=update)
         np.sqrt(np.divide(v, corr2, out=denom), out=denom)
-        denom += self.eps
+        denom += 1e-8
         update /= denom
         for name, span in self._spans.items():
             params[name].data -= update[span].reshape(params[name].shape)

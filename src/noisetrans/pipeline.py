@@ -194,6 +194,18 @@ def _checkpoint(out_dir, weights, optimizer, epoch) -> None:
         json.dump({"next_epoch": epoch + 1}, fh)
 
 
+def _next_epoch(state_path) -> int:
+    """The epoch a checkpoint's state.json says to resume at."""
+    try:
+        next_epoch = json.loads(read_text(state_path))["next_epoch"]
+    except (json.JSONDecodeError, KeyError, TypeError):
+        next_epoch = None
+    if type(next_epoch) is not int or next_epoch < 0:
+        raise ContractError(
+            f"{state_path}: checkpoint state needs a non-negative integer 'next_epoch'")
+    return next_epoch
+
+
 def _clip_gradients(weights, max_norm: float) -> None:
     total = 0.0
     for t in weights.params.values():
@@ -236,8 +248,7 @@ def train(manifest_path, cfg: ModelConfig, epochs: int, out_dir,
         optimizer = Adam(weights, base_lr=base_lr, halve_every=halve_every)
         with open(os.path.join(ck, "optim.bin"), "rb") as fh:
             optimizer.load_state_bytes(fh.read())
-        with open(os.path.join(ck, "state.json"), "r", encoding="utf-8") as fh:
-            start_epoch = json.load(fh)["next_epoch"]
+        start_epoch = _next_epoch(os.path.join(ck, "state.json"))
 
     epoch_losses: list[float] = []
     tail: list[dict] = []
@@ -291,11 +302,12 @@ def auto_iterations(noise_level: float | None) -> int:
     return 1 if noise_level <= 0.02 else 2
 
 
-def estimate_normals(coords, k: int = 24) -> np.ndarray:
+def estimate_normals(coords) -> np.ndarray:
     """Per-point unit normals from the smallest principal axis of the
-    k-nearest-neighbour covariance. Signs are arbitrary (unoriented)."""
+    covariance of the 24 nearest neighbours (all points in a smaller
+    cloud). Signs are arbitrary (unoriented)."""
     coords = np.asarray(coords, dtype=np.float64)
-    k = min(k, len(coords))
+    k = min(24, len(coords))
     idx, _ = KdTree(coords).query(coords, k)
     nb = coords[idx]
     nb = nb - nb.mean(axis=1, keepdims=True)
@@ -304,9 +316,10 @@ def estimate_normals(coords, k: int = 24) -> np.ndarray:
     return vecs[:, :, 0]
 
 
-def _sampled_rotations(n: int, seed: int) -> list[np.ndarray]:
-    """The identity plus n-1 seeded uniform random rotations (QR-based)."""
-    rng = np.random.default_rng(seed)
+def _sampled_rotations(n: int) -> list[np.ndarray]:
+    """The identity plus n-1 uniform random rotations (QR-based), drawn from
+    the fixed seed 42."""
+    rng = np.random.default_rng(42)
     rots = [np.eye(3)]
     for _ in range(n - 1):
         q, r = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -335,27 +348,27 @@ def _patches_per_forward(cfg: ModelConfig, patch_size: int, copies: int) -> int:
 
 def denoise(coords, weights: ModelWeights, iterations: int = 1,
             patch_size: int = 256, coverage: int = 3,
-            normal_projection: bool = True, rotations: int = 1,
-            rotation_seed: int = 42) -> np.ndarray:
+            rotations: int = 1) -> np.ndarray:
     """normalize -> patches -> forward -> stitch -> denormalize, chained.
 
     `coverage` is the minimum number of patches holding each point; stitching
     averages the per-patch estimates, so overlapping coverage reduces the
     variance of the prediction at modest extra forward cost.
 
-    With `normal_projection` each pass keeps only the component of the
-    predicted displacement along the point's estimated surface normal.
-    The tangential component of the prediction redistributes points along
-    the surface (it cannot reduce the distance to it) and empirically
-    degrades coverage; discarding it preserves the input's tangential
-    spread, the way an exact projection onto the surface would.
+    Each pass keeps only the component of the predicted displacement
+    along the point's estimated surface normal. The tangential component
+    of the prediction redistributes points along the surface (it cannot
+    reduce the distance to it) and empirically degrades coverage;
+    discarding it preserves the input's tangential spread, the way an
+    exact projection onto the surface would.
 
     With `rotations` > 1 each patch is additionally evaluated under that
     many fixed random orientations (the identity plus seeded uniform
     rotations) and the rotated-back predictions are averaged. The network
     is permutation- but not rotation-equivariant, so this ensembling
-    averages out orientation-dependent prediction error. Deterministic
-    given `rotation_seed`; multiplies forward cost by `rotations`.
+    averages out orientation-dependent prediction error. The rotations are
+    fixed, so the result is deterministic; forward cost grows by
+    `rotations`.
 
     Each pass builds every patch's KNN graphs once, in its unrotated local
     frame, and all rotations share them: the graphs do not change under
@@ -374,7 +387,7 @@ def denoise(coords, weights: ModelWeights, iterations: int = 1,
         raise ArgumentError(
             f"patch_size {patch_size} below the model minimum {cfg.min_points}"
         )
-    rots = _sampled_rotations(rotations, rotation_seed)
+    rots = _sampled_rotations(rotations)
     for _ in range(iterations):
         cloud = normalize_unit_sphere(PointCloud(coords))
         patches = extract_patches(cloud.coords, patch_size, min_coverage=coverage)
@@ -393,11 +406,8 @@ def denoise(coords, weights: ModelWeights, iterations: int = 1,
         stitched = stitch_patches(patches, denoised, len(coords))
         out = denormalize(PointCloud(stitched, center=cloud.center,
                                      scale=cloud.scale)).coords
-        if normal_projection:
-            n = estimate_normals(coords)
-            delta = out - coords
-            out = coords + (delta * n).sum(axis=1, keepdims=True) * n
-        coords = out
+        n = estimate_normals(coords)
+        coords = coords + ((out - coords) * n).sum(axis=1, keepdims=True) * n
     return coords
 
 

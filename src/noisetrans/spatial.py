@@ -61,45 +61,37 @@ class KdTree:
     def __len__(self):
         return len(self.points)
 
-    def query(self, queries, k: int, exclude_self: bool = False):
-        """Return (indices (M, k), sqdists (M, k)) sorted ascending.
-
-        With exclude_self=True the queries must be the indexed points
-        themselves (row i is point i) and point i is dropped for query i.
-        """
+    def query(self, queries, k: int):
+        """Return (indices (M, k), sqdists (M, k)) of each query's k nearest
+        indexed points, sorted ascending."""
         pts = self.points
         n = len(pts)
         q = as_points(queries, "queries")
         m = len(q)
-        _check_knn_request(pts, q, k, exclude_self)
+        _check_knn_request(pts, q, k, exclude_self=False)
         if m == 0:
             return (np.empty((0, k), dtype=np.int64), np.empty((0, k)))
 
-        k_ext = min(n, k + (1 if exclude_self else 0) + 4)
-        rows = np.arange(m)[:, None]
+        k_ext = min(n, k + 4)
         while True:
             _, idx = self._tree.query(q, k=k_ext)
             idx = np.atleast_2d(idx).reshape(m, k_ext).astype(np.int64)
             cand = pts[idx]
             diff = q[:, None, :] - cand
             d2 = (diff * diff).sum(axis=-1)
-            # the farthest retrieved distance, taken before self is masked
             far = d2.max(axis=1) if k_ext < n else None
-            if exclude_self:
-                d2 = np.where(idx == rows, np.inf, d2)
             found = _nearest_k(d2, cand, idx, k, far)
             if found is not None:
                 return found
             k_ext = min(n, 2 * k_ext)
 
 
-def knn_query(cloud, queries, k: int, exclude_self: bool = False):
-    """One-shot KNN (builds a KdTree internally)."""
-    return KdTree(cloud).query(queries, k, exclude_self=exclude_self)
-
-
 def knn_brute_force(cloud, queries, k: int, exclude_self: bool = False):
-    """Exhaustive-scan oracle with the same contract and tie-break as knn_query."""
+    """Exhaustive-scan oracle with the same tie-break as KdTree.query.
+
+    With exclude_self=True the queries must be the indexed points
+    themselves (row i is point i) and point i is dropped for query i; in
+    that form it is the oracle of patch_knn."""
     pts = as_points(cloud, "cloud")
     q = as_points(queries, "queries")
     n, m = len(pts), len(q)

@@ -1,16 +1,19 @@
 """Command-line interface: flag/config-file/default resolution, the four
 subcommands end to end on tiny inputs, and exit-code mapping."""
+import argparse
 import json
+import zlib
 
 import numpy as np
 import pytest
 
 import noisetrans.autodiff as ad
 import noisetrans.cli
-from noisetrans.cli import main, read_config_file, _parse_sweep
-from noisetrans.errors import ArgumentError, ParseError
+from noisetrans.cli import build_parser, main, read_config_file, _parse_sweep
+from noisetrans.errors import ArgumentError, FormatError, ParseError
 from noisetrans.geometry import PointCloud, Sphere, read_pointcloud, sample_surface, write_pointcloud
-from noisetrans.model import desk_config, init_weights, save_weights
+from noisetrans.model import desk_config, init_weights, load_weights, save_weights
+from noisetrans.objective import Adam
 
 
 def run(args):
@@ -285,3 +288,84 @@ def test_mesh_with_a_negative_face_index_exits_3(tmp_path, capsys):
     mesh.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 -1\n")
     assert run(["eval", "--denoised", pts, "--clean", pts, "--mesh", mesh]) == 3
     assert "triangle index outside 0..2" in capsys.readouterr().err
+
+
+# Every flag each subcommand parses; each one is read by its command.
+SUBCOMMAND_FLAGS = {
+    "make-dataset": {"--config", "--seed", "--shapes", "--points", "--noise",
+                     "--noise-level", "--noise-ref", "--count", "--out"},
+    "train": {"--config", "--seed", "--profile", "--precision", "--encoding", "--lpa",
+              "--attention", "--data", "--out", "--out-weights", "--epochs", "--lr",
+              "--halve-every", "--patch-size", "--alpha", "--beta", "--anchor",
+              "--average-tail", "--resume"},
+    "denoise": {"--config", "--precision", "--in", "--weights", "--iterations",
+                "--noise-level", "--patch-size", "--rotations", "--out"},
+    "eval": {"--config", "--seed", "--profile", "--precision", "--denoised", "--clean",
+             "--mesh", "--surface", "--noise", "--iterations-used", "--out-report",
+             "--export-colored", "--sweep", "--data", "--test-data", "--epochs", "--lr",
+             "--patch-size"},
+}
+
+
+def test_each_subcommand_parses_exactly_its_flags():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {opt for action in p._actions for opt in action.option_strings
+                  if opt not in ("-h", "--help")}
+           for name, p in sub.choices.items()}
+    assert got == SUBCOMMAND_FLAGS
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("make-dataset", "--profile", "desk"), ("make-dataset", "--precision", "f64"),
+    ("denoise", "--seed", "1"), ("denoise", "--profile", "desk"),
+    ("eval", "--encoding", "sparse"), ("eval", "--lpa", "on"), ("eval", "--attention", "on"),
+])
+def test_flags_a_subcommand_never_read_exit_2(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def _weights_with_config_block(path, block: bytes):
+    """A weights file with a valid checksum around the given config block."""
+    save_weights(init_weights(desk_config()), path)
+    blob = path.read_bytes()
+    size = int.from_bytes(blob[8:12], "little")
+    payload = blob[:8] + len(block).to_bytes(4, "little") + block + blob[12 + size:-4]
+    path.write_bytes(payload + zlib.crc32(payload).to_bytes(4, "little"))
+
+
+def test_weights_with_a_bad_config_block_exit_3(tmp_path, capsys):
+    good = desk_config().to_dict()
+    missing = {k: v for k, v in good.items() if k != "k_scales"}
+    blocks = {
+        "extra_key.ntw": json.dumps({**good, "colour": "red"}).encode(),
+        "missing_k_scales.ntw": json.dumps(missing).encode(),
+        "not_json.ntw": b"{k_scales: [4, 6, 8]",
+        "not_utf8.ntw": b"\xff\xfe" + json.dumps(good).encode(),
+    }
+    pts = tmp_path / "p.xyz"
+    write_pointcloud(PointCloud(sample_surface(Sphere(), 64, seed=0).coords), pts)
+    for name, block in blocks.items():
+        path = tmp_path / name
+        _weights_with_config_block(path, block)
+        with pytest.raises(FormatError, match="bad model config block"):
+            load_weights(path)
+        assert run(["denoise", "--in", pts, "--weights", path,
+                    "--out", tmp_path / "out.xyz"]) == 3
+        assert f"error: {path}: bad model config block" in capsys.readouterr().err
+
+
+def test_train_resume_with_a_malformed_state_exits_3(tiny_dataset, tmp_path, capsys):
+    ck = tmp_path / "run" / "checkpoint"
+    ck.mkdir(parents=True)
+    weights = init_weights(desk_config())
+    save_weights(weights, ck / "weights.ntw")
+    (ck / "optim.bin").write_bytes(Adam(weights).state_bytes())
+    for state in ("{}", "not json"):
+        (ck / "state.json").write_text(state)
+        assert run(["train", "--data", tiny_dataset, "--epochs", 1, "--patch-size", 16,
+                    "--resume", tmp_path / "run", "--out", tmp_path / "out"]) == 3
+        assert f"error: {ck / 'state.json'}: checkpoint state" in capsys.readouterr().err

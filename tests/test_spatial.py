@@ -12,7 +12,6 @@ from noisetrans.spatial import (
     extract_patches,
     farthest_point_sample,
     knn_brute_force,
-    knn_query,
     patch_knn,
     stitch_patches,
 )
@@ -26,7 +25,7 @@ def test_knn_matches_brute_force_random():
         k = int(rng.integers(1, n + 1))
         pts = rng.standard_normal((n, 3))
         q = rng.standard_normal((m, 3))
-        ia, da = knn_query(pts, q, k)
+        ia, da = KdTree(pts).query(q, k)
         ib, db = knn_brute_force(pts, q, k)
         assert np.array_equal(ia, ib), f"trial {trial}"
         assert np.allclose(da, db, atol=1e-12)
@@ -40,7 +39,7 @@ def test_knn_matches_brute_force_on_grid_ties():
     pts = pts[rng.permutation(len(pts))]
     q = pts[:10] + 0.5
     for k in (1, 5, 27):
-        ia, da = knn_query(pts, q, k)
+        ia, da = KdTree(pts).query(q, k)
         ib, db = knn_brute_force(pts, q, k)
         assert np.array_equal(ia, ib)
         assert np.array_equal(da, db)
@@ -49,45 +48,26 @@ def test_knn_matches_brute_force_on_grid_ties():
 def test_knn_ties_break_on_coordinates_not_storage_order():
     pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0]])
     q = np.zeros((1, 3))
-    idx, _ = knn_query(pts, q, 2)
+    idx, _ = KdTree(pts).query(q, 2)
     # three equidistant points: lexicographically smallest coordinates win
     assert pts[idx[0, 0]].tolist() == [-1.0, 0.0, 0.0]
     assert pts[idx[0, 1]].tolist() == [0.0, 1.0, 0.0]
     # and the result is invariant to how the points are stored
     perm = [2, 0, 1]
-    idx2, _ = knn_query(pts[perm], q, 2)
+    idx2, _ = KdTree(pts[perm]).query(q, 2)
     assert np.array_equal(pts[perm][idx2[0]], pts[idx[0]])
-
-
-def test_knn_exclude_self():
-    rng = np.random.default_rng(3)
-    pts = rng.standard_normal((40, 3))
-    ia, da = knn_query(pts, pts, 5, exclude_self=True)
-    ib, db = knn_brute_force(pts, pts, 5, exclude_self=True)
-    assert np.array_equal(ia, ib)
-    assert np.allclose(da, db, atol=1e-12)
-    assert not np.any(ia == np.arange(40)[:, None])
-
-
-def test_knn_exclude_self_with_duplicate_points():
-    # duplicated coordinates: a duplicate of the query is a valid neighbour
-    pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-    ia, da = knn_query(pts, pts, 2, exclude_self=True)
-    ib, db = knn_brute_force(pts, pts, 2, exclude_self=True)
-    assert np.array_equal(ia, ib)
-    assert da[0, 0] == 0.0 and ia[0, 0] == 1
 
 
 def test_knn_argument_errors():
     pts = np.zeros((5, 3))
     with pytest.raises(ArgumentError):
-        knn_query(pts, pts, 6)
+        KdTree(pts).query(pts, 6)
     with pytest.raises(ArgumentError):
-        knn_query(pts, pts, 5, exclude_self=True)
+        knn_brute_force(pts, pts, 5, exclude_self=True)
     with pytest.raises(ArgumentError):
-        knn_query(pts, pts[:, :2], 2)
+        KdTree(pts).query(pts[:, :2], 2)
     with pytest.raises(ArgumentError):
-        knn_query(pts, np.full((2, 3), np.nan), 1)
+        KdTree(pts).query(np.full((2, 3), np.nan), 1)
 
 
 def test_kdtree_reusable_and_len():
@@ -244,6 +224,16 @@ def test_patch_knn_duplicates_and_coincident_points():
                         for z in range(3)], dtype=float)  # axis-aligned ties
     coincident = np.zeros((12, 3))           # all points at one place
     _assert_patch_knn_matches_oracle(np.stack([dup, lattice, coincident]))
+
+
+def test_exclude_self_keeps_a_duplicate_of_the_query():
+    # duplicated coordinates: only the query's own row is excluded
+    pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
+    want = np.array([[1, 2], [0, 2], [0, 1], [2, 0]])
+    ib, db = knn_brute_force(pts, pts, 2, exclude_self=True)
+    ip, dp = patch_knn(pts[None], 2)
+    assert np.array_equal(ib, want) and np.array_equal(ip[0], want)
+    assert db[0, 0] == dp[0, 0, 0] == 0.0
 
 
 def test_patch_knn_planar_patch():

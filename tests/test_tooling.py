@@ -1,11 +1,15 @@
 """Contracts between the package and the benchmark under perfbench/: the
 tracer looks autodiff ops up by name and counts patches on the result of
 extract_patches, the training workload reads the fields of every training
-pair, and the traced tape record count of a training step is a benchmark
-metric."""
+pair, the traced tape record count of a training step is a benchmark
+metric, and the denoise workload drives the command line with its flags."""
+import importlib
+import os
+
 import numpy as np
 
 import noisetrans.autodiff as ad
+import noisetrans.cli
 from noisetrans.autodiff import Tape
 from noisetrans.corruption import NoiseSpec
 from noisetrans.geometry import read_pointcloud
@@ -62,3 +66,28 @@ def test_patch_count_and_training_pair_fields(tmp_path):
         assert item.noisy_local.shape == item.clean_local.shape == (16, 3)
         given = forward(item.noisy_local, w, graphs=item.graphs).data
         assert given.tobytes() == forward(item.noisy_local, w).data.tobytes()
+
+
+def test_denoise_desk_flags_parse(tmp_path, monkeypatch):
+    """The denoise-desk workload's own argv parses under build_parser()."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    desk = object.__new__(workloads.DenoiseDesk)   # the argv needs no set-up
+    desk.workdir, desk.first, desk.last = str(tmp_path), {}, {}
+    calls = []
+
+    def parse_only(argv):
+        args = noisetrans.cli.build_parser().parse_args(argv)
+        calls.append((argv, args))
+        np.savetxt(args.out, np.zeros((1, 3)))
+        return 0
+
+    monkeypatch.setattr(noisetrans.cli, "main", parse_only)
+    desk._cli_denoise("sphere")()
+    (argv, args), = calls
+    assert {a for a in argv if a.startswith("--")} == {
+        "--in", "--weights", "--iterations", "--rotations", "--patch-size", "--out"}
+    assert args.func is noisetrans.cli.cmd_denoise
+    assert args.weights == workloads.DESK_WEIGHTS
+    assert (args.iterations, args.rotations, args.patch_size) == (
+        str(desk.iterations), desk.denoise_rotations, desk.denoise_patch)
