@@ -3,7 +3,7 @@ Farthest point sampling, patch extraction, and stitching
 ========================================================
 
 A cloud is covered with fixed-size local patches seeded in farthest-point
-order, returned as one record of stacked arrays (seeds, members, local
+order, plus one for each point the farthest-point seeds leave out, returned as one record of stacked arrays (seeds, members, local
 coordinates, centers, scales). Each patch lives in its own unit-sphere
 frame; stitching averages the per-patch world coordinates back into one
 cloud. With the identity applied to every patch, stitching reproduces the
@@ -29,6 +29,9 @@ for seed, scale, radius in zip(patches.seeds[:3], patches.scales, radii):
 restored = stitch_patches(patches, patches.local, len(cloud))
 print("stitch identity max error:", np.abs(restored - cloud).max())
 
-# deeper coverage gives each point several estimates to average
-dense = extract_patches(cloud, patch_size=64, min_coverage=3)
-print(f"min_coverage=3 needs {len(dense)} patches")
+# coverage=3 takes ceil(3 N / 64) farthest-point seeds, so each point gets
+# 3 estimates to average on the mean, plus a patch for any point left over
+dense = extract_patches(cloud, patch_size=64, coverage=3)
+counts = np.bincount(dense.members.ravel(), minlength=len(cloud))
+print(f"coverage=3 takes {len(dense)} patches: "
+      f"{counts.mean():.2f} per point on average, {counts.min()} at least")

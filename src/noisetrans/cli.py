@@ -55,10 +55,18 @@ def read_config_file(path) -> dict:
 
 def _resolve(args, defaults: dict) -> dict:
     """CLI flag > config file > default, coerced to the default's type;
-    the shared flags the subcommand's parser added join `defaults`."""
+    the shared flags the subcommand's parser added join `defaults`. A
+    config-file key outside `defaults` is one the subcommand never reads,
+    a typo or another subcommand's setting, and raises ParseError."""
     defaults = {**{name: default for name, (default, _) in _SHARED_FLAGS.items()
                    if hasattr(args, name)}, **defaults}
     file_vals = read_config_file(args.config) if args.config else {}
+    unread = sorted(set(file_vals) - set(defaults))
+    if unread:
+        raise ParseError(
+            f"{args.config}: '{unread[0]}' is not a setting of {args.command} "
+            f"(it reads {', '.join(sorted(defaults))})"
+        )
     resolved = {}
     for key, default in defaults.items():
         cli_val = getattr(args, key)

@@ -351,9 +351,12 @@ def denoise(coords, weights: ModelWeights, iterations: int = 1,
             rotations: int = 1) -> np.ndarray:
     """normalize -> patches -> forward -> stitch -> denormalize, chained.
 
-    `coverage` is the minimum number of patches holding each point; stitching
-    averages the per-patch estimates, so overlapping coverage reduces the
-    variance of the prediction at modest extra forward cost.
+    Each pass covers the cloud with at least ceil(coverage * N / S)
+    patches of S = min(patch_size, N) points (see extract_patches), so
+    `coverage` patches per point on average and every point in at least
+    one; stitching averages the per-patch estimates, so overlapping
+    coverage reduces the variance of the prediction at modest extra
+    forward cost.
 
     Each pass keeps only the component of the predicted displacement
     along the point's estimated surface normal. The tangential component
@@ -390,7 +393,7 @@ def denoise(coords, weights: ModelWeights, iterations: int = 1,
     rots = _sampled_rotations(rotations)
     for _ in range(iterations):
         cloud = normalize_unit_sphere(PointCloud(coords))
-        patches = extract_patches(cloud.coords, patch_size, min_coverage=coverage)
+        patches = extract_patches(cloud.coords, patch_size, coverage)
         local = patches.local                                          # (P, N, 3)
         chunk = _patches_per_forward(cfg, local.shape[1], len(rots))
         denoised = np.zeros_like(local)

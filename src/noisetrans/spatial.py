@@ -8,12 +8,11 @@ pipeline permutation-equivariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ArgumentError, ContractError
+from .errors import ArgumentError, ContractError, DegenerateError
 from .geometry import as_points, centroid_radius
 
 
@@ -139,38 +138,56 @@ def patch_knn(patches, k: int):
         k_ext = n
 
 
-def _argmax_lex(values: np.ndarray, pts: np.ndarray, allowed: np.ndarray) -> int:
-    """Index of the max value among allowed rows; ties by smallest (x, y, z)."""
-    vals = np.where(allowed, values, -np.inf)
-    best = vals.max()
-    cand = np.flatnonzero(vals == best)
-    sub = pts[cand]
-    return int(cand[np.lexsort((sub[:, 2], sub[:, 1], sub[:, 0]))[0]])
+def _lex_smallest(cand: np.ndarray, pts: np.ndarray) -> int:
+    """The candidate with the smallest (x, y, z); the lowest index among
+    coincident ones, since `cand` is ascending and lexsort is stable."""
+    if len(cand) > 1:
+        sub = pts[cand]
+        cand = cand[np.lexsort((sub[:, 2], sub[:, 1], sub[:, 0]))]
+    return int(cand[0])
 
 
-def _farthest_point_order(pts: np.ndarray):
-    """Yield every index of `pts` once, in greedy max-min order: the first
-    pick is the point farthest from the centroid, each later one maximizes
-    the minimum distance to the chosen set; ties go to the smallest (x, y, z).
-    """
-    allowed = np.ones(len(pts), dtype=bool)
+def _sqdist_to(cols: np.ndarray, i: int) -> np.ndarray:
+    """Every point's squared distance to point i, from the (3, N) coordinate
+    columns: dx² + dy² + dz² added left to right, which is bit for bit
+    ((pts - pts[i]) ** 2).sum(axis=1), in long contiguous rows."""
+    d = cols[0] - cols[0, i]
+    d *= d
+    for c in cols[1:]:
+        t = c - c[i]
+        t *= t
+        d += t
+    return d
+
+
+def _farthest_points(pts: np.ndarray, count: int):
+    """The first `count` picks of the greedy max-min order, and every point's
+    squared distance to its nearest pick. The first pick is the point
+    farthest from the centroid, each later one maximizes the minimum
+    distance to the picks so far; ties go to the smallest (x, y, z)."""
+    cols = np.ascontiguousarray(pts.T)
+    picked = np.zeros(len(pts), dtype=bool)
+    order = np.empty(count, dtype=np.int64)
+    mind = np.full(len(pts), np.inf)
     score = ((pts - pts.mean(axis=0)) ** 2).sum(axis=1)
-    mind = np.inf
-    for _ in range(len(pts)):
-        pick = _argmax_lex(score, pts, allowed)
-        allowed[pick] = False
-        yield pick
-        score = mind = np.minimum(mind, ((pts - pts[pick]) ** 2).sum(axis=1))
+    for i in range(count):
+        # a pick scores 0, the least any point can, so the maximum over all
+        # points is the maximum over the unpicked ones
+        cand = np.flatnonzero(score == score.max())
+        order[i] = pick = _lex_smallest(cand[~picked[cand]], pts)
+        picked[pick] = True
+        score = np.minimum(mind, _sqdist_to(cols, pick), out=mind)
+    return order, mind
 
 
 def farthest_point_sample(cloud, count: int) -> np.ndarray:
     """The first `count` indices of the greedy max-min (farthest-point)
-    order that extract_patches seeds its patches in."""
+    order, whose prefix seeds extract_patches' cover."""
     pts = as_points(cloud, "cloud")
     n = len(pts)
     if not 1 <= count <= n:
         raise ArgumentError(f"count={count} out of range for {n} points")
-    return np.fromiter(islice(_farthest_point_order(pts), count), np.int64, count)
+    return _farthest_points(pts, count)[0]
 
 
 @dataclass(frozen=True)
@@ -189,42 +206,56 @@ class Patches:
         return len(self.seeds)
 
 
-def extract_patches(cloud, patch_size: int, min_coverage: int = 1) -> Patches:
-    """Cover the cloud with unit-sphere patches seeded by FPS order.
+def extract_patches(cloud, patch_size: int, coverage: int = 1) -> Patches:
+    """Cover the cloud with unit-sphere patches of S = min(patch_size, N)
+    points, each the S nearest neighbours of its seed (include-self).
 
-    Seeds are taken in farthest-point order, the order whose prefixes
-    farthest_point_sample returns, until every point belongs to at least
-    min_coverage patches; each patch is the patch_size nearest neighbours
-    of its seed (include-self), one KdTree query per seed. The frames are
-    then computed for the whole (P, S, 3) stack at once: each patch is
-    centred on its centroid and scaled to max norm 1, or by 1 when all its
-    members coincide. min_coverage > 1 gives every point several
-    independent patch estimates to average at stitch time.
+    The first T = min(N, ceil(coverage * N / S)) seeds are the prefix that
+    farthest_point_sample returns, and one KdTree query fetches all their
+    patches. Then, while some point lies in no patch, a residual patch is
+    seeded at the uncovered point farthest from every seed so far, ties to
+    the smallest (x, y, z). So each point lies in `coverage` patches on
+    average and in at least one, and T <= P <= T + the number of points
+    the prefix leaves uncovered. The frames are computed for the whole
+    (P, S, 3) stack at once: each patch is centred on its centroid and
+    scaled to max norm 1, or by 1 when all its members coincide. More than
+    S coincident points cannot all be covered, because every neighbour
+    query orders coincident points by index: DegenerateError.
     """
     pts = as_points(cloud, "cloud", nonempty=True)
     n = len(pts)
     if patch_size < 1:
         raise ArgumentError(f"patch_size must be positive, got {patch_size}")
-    if min_coverage < 1:
-        raise ArgumentError(f"min_coverage must be positive, got {min_coverage}")
+    if coverage < 1:
+        raise ArgumentError(f"coverage must be positive, got {coverage}")
     size = min(patch_size, n)
     tree = KdTree(pts)
-
-    coverage = np.zeros(n, dtype=np.int64)
-    seeds, members = [], []
-    for seed in _farthest_point_order(pts):
-        idx, _ = tree.query(pts[seed][None, :], size)
-        seeds.append(seed)
-        members.append(idx[0])
-        coverage[idx[0]] += 1
-        if coverage.min() >= min_coverage:
-            break
-    members = np.stack(members)
+    seeds, mind = _farthest_points(pts, min(n, -(-coverage * n // size)))
+    members = tree.query(pts[seeds], size)[0]
+    uncovered = np.ones(n, dtype=bool)
+    uncovered[members] = False
+    cols = np.ascontiguousarray(pts.T)
+    extra_seeds, extra_members = [], []
+    while uncovered.any():
+        far = np.where(uncovered, mind, -np.inf)
+        seed = _lex_smallest(np.flatnonzero(far == far.max()), pts)
+        idx = tree.query(pts[seed][None], size)[0][0]
+        if seed not in idx:
+            raise DegenerateError(
+                f"point {seed} coincides with {size} or more points of lower "
+                f"index, so no patch of {size} points holds it")
+        uncovered[idx] = False
+        np.minimum(mind, _sqdist_to(cols, seed), out=mind)
+        extra_seeds.append(seed)
+        extra_members.append(idx)
+    if extra_seeds:
+        seeds = np.concatenate([seeds, extra_seeds])
+        members = np.concatenate([members, extra_members])
     coords = pts[members]
     centers, scales = centroid_radius(coords)
     scales[scales == 0.0] = 1.0  # all members coincide; any scale keeps the frame exact
-    return Patches(np.array(seeds, dtype=np.int64), members,
-                   (coords - centers[:, None]) / scales[:, None, None], centers, scales)
+    return Patches(seeds, members, (coords - centers[:, None]) / scales[:, None, None],
+                   centers, scales)
 
 
 def stitch_patches(patches: Patches, local, n: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared test oracles: central finite differences, the op chains that the
-one-op `linear` and the fused edge-feature layer replaced, and an
-independent plain-numpy evaluator of the full network loss.
+one-op `linear` and the fused edge-feature layer replaced, a loop reference
+of the patch cover, and an independent plain-numpy evaluator of the full
+network loss.
 
 The batched evaluator carries a leading batch axis over parameter
 perturbations so whole-model gradient checks stay fast on one core. It is
@@ -15,6 +16,7 @@ import numpy as np
 from scipy.special import erf, expit
 
 import noisetrans.autodiff as ad
+from noisetrans.spatial import farthest_point_sample, knn_brute_force
 
 _TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
@@ -30,6 +32,28 @@ def perfbench_tracing():
 def traced_autodiff_ops() -> tuple[str, ...]:
     """The autodiff op names that perfbench/tracing.py wraps by name."""
     return tuple(perfbench_tracing().AUTODIFF_OPS)
+
+
+def loop_patch_cover(pts, patch_size: int, coverage: int = 1):
+    """Loop reference of extract_patches' (seeds, members): the
+    farthest_point_sample prefix of T = min(N, ceil(coverage N / S)) seeds
+    with S = min(patch_size, N), one knn_brute_force query per seed, then a
+    residual seed at a time, found by scanning every uncovered point for the
+    one whose nearest seed is farthest, ties to the smallest (x, y, z) and
+    then the lowest index, until every point is covered."""
+    pts = np.asarray(pts, dtype=np.float64)
+    n = len(pts)
+    size = min(patch_size, n)
+    seeds = farthest_point_sample(pts, min(n, -(-coverage * n // size))).tolist()
+    members = [knn_brute_force(pts, pts[[s]], size)[0][0] for s in seeds]
+    covered = set(np.concatenate(members).tolist())
+    while len(covered) < n:
+        d2 = ((pts[:, None, :] - pts[seeds][None, :, :]) ** 2).sum(axis=-1).min(axis=1)
+        seed = min((-d2[i], *pts[i], i) for i in range(n) if i not in covered)[-1]
+        seeds.append(seed)
+        members.append(knn_brute_force(pts, pts[[seed]], size)[0][0])
+        covered.update(members[-1].tolist())
+    return np.array(seeds, dtype=np.int64), np.stack(members)
 
 
 def central_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

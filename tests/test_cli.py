@@ -216,6 +216,22 @@ def test_os_decode_and_config_value_errors_exit_3(tiny_dataset, tmp_path, capsys
     assert str(cfg) in err and "'epochs'" in err and "'abc'" in err
 
 
+def test_config_keys_the_subcommand_never_reads_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    # a typo of seed, beside a key make-dataset does read
+    cfg.write_text("points = 40\nsede = 3\n")
+    out = tmp_path / "ds"
+    assert run(["make-dataset", "--config", cfg, "--shapes", "sphere", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {cfg}: 'sede' is not a setting of make-dataset" in err
+    assert not out.exists()
+    # a key that another subcommand owns
+    cfg.write_text("epochs = 2\n")
+    assert run(["denoise", "--config", cfg, "--in", tmp_path / "a.xyz",
+                "--weights", tmp_path / "w.ntw"]) == 3
+    assert f"error: {cfg}: 'epochs' is not a setting of denoise" in capsys.readouterr().err
+
+
 def test_a_builtin_index_error_is_a_bug_not_an_exit_code(monkeypatch, tmp_path):
     def broken(args):
         return [][0]

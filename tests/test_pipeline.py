@@ -306,7 +306,7 @@ def test_denoise_matches_per_patch_rotation_loop():
     def per_patch_loop(coords, rotations):
         rots = _sampled_rotations(rotations)
         cloud = normalize_unit_sphere(PointCloud(coords))
-        patches = extract_patches(cloud.coords, 16, min_coverage=3)
+        patches = extract_patches(cloud.coords, 16, coverage=3)
         outs = []
         for local in patches.local:
             acc = np.zeros_like(local)

@@ -6,7 +6,11 @@ scan, including under duplicated points and axis-aligned ties.
 import numpy as np
 import pytest
 
-from noisetrans.errors import ArgumentError, ContractError
+from helpers import loop_patch_cover
+from noisetrans.corruption import NoiseSpec, perturb
+from noisetrans.errors import ArgumentError, ContractError, DegenerateError
+from noisetrans.geometry import Sphere, sample_surface
+from noisetrans.model import desk_config
 from noisetrans.spatial import (
     KdTree,
     extract_patches,
@@ -190,12 +194,15 @@ def test_stitch_contract_errors():
 def test_extract_patches_min_coverage():
     rng = np.random.default_rng(21)
     pts = rng.standard_normal((120, 3))
-    patches = extract_patches(pts, patch_size=16, min_coverage=3)
+    patches = extract_patches(pts, patch_size=16, coverage=3)
+    # ceil(3 * 120 / 16) = 23 farthest-point seeds first, so at least 3
+    # patches per point on average, and every point in one or more
+    assert patches.seeds[:23].tolist() == farthest_point_sample(pts, 23).tolist()
     counts = np.bincount(patches.members.ravel(), minlength=120)
-    assert counts.min() >= 3
+    assert counts.min() >= 1 and counts.sum() >= 3 * 120
     assert len(patches) > len(extract_patches(pts, patch_size=16))
     with pytest.raises(ArgumentError):
-        extract_patches(pts, patch_size=16, min_coverage=0)
+        extract_patches(pts, patch_size=16, coverage=0)
 
 
 def _assert_patch_knn_matches_oracle(patches):
@@ -274,14 +281,113 @@ def _fps_fixture_clouds():
             "lattice": lattice, "sphere": sphere}
 
 
-@pytest.mark.parametrize("min_coverage", [1, 3])
+def _prefix_size(n: int, patch_size: int, coverage: int) -> int:
+    """T = min(N, ceil(coverage N / S)) with S = min(patch_size, N)."""
+    return min(n, -(-coverage * n // min(patch_size, n)))
+
+
+@pytest.mark.parametrize("coverage", [1, 3])
 @pytest.mark.parametrize("name", ["random", "duplicates", "lattice", "sphere"])
-def test_extract_patches_seeds_are_a_farthest_point_prefix(name, min_coverage):
+def test_extract_patches_seeds_are_a_farthest_point_prefix(name, coverage):
     pts = _fps_fixture_clouds()[name]
-    patches = extract_patches(pts, 12, min_coverage)
+    patches = extract_patches(pts, 12, coverage)
     seeds = patches.seeds.tolist()
     assert len(set(seeds)) == len(seeds)
-    assert seeds == farthest_point_sample(pts, len(seeds)).tolist()
-    # and the cover stopped at the first seed that met the coverage target
-    counts = np.bincount(patches.members[:-1].ravel(), minlength=len(pts))
-    assert counts.min() < min_coverage
+    t = _prefix_size(len(pts), 12, coverage)
+    assert seeds[:t] == farthest_point_sample(pts, t).tolist()
+    counts = np.bincount(patches.members.ravel(), minlength=len(pts))
+    assert counts.min() >= 1 and counts.sum() >= coverage * len(pts)
+    # every residual patch is seeded at a point no earlier patch holds
+    for p in range(t, len(patches)):
+        assert seeds[p] not in patches.members[:p]
+
+
+@pytest.mark.parametrize("coverage", [1, 3])
+@pytest.mark.parametrize("name", ["random", "duplicates", "lattice", "sphere"])
+def test_extract_patches_equals_the_loop_oracle(name, coverage):
+    pts = _fps_fixture_clouds()[name]
+    for size in (12, 40):
+        patches = extract_patches(pts, size, coverage)
+        seeds, members = loop_patch_cover(pts, size, coverage)
+        assert np.array_equal(patches.seeds, seeds), (size, coverage)
+        assert np.array_equal(patches.members, members), (size, coverage)
+
+
+def _noisy_sphere(n: int) -> np.ndarray:
+    clean = sample_surface(Sphere(1.0), n, seed=0)
+    return perturb(clean, NoiseSpec("gaussian", 0.02, seed=1)).coords
+
+
+def _hostile_clouds():
+    rng = np.random.default_rng(50)
+    outliers = _noisy_sphere(1024)
+    outliers[:10] *= 3.0                     # 10 points at 3x the radius
+    cluster = np.concatenate([_noisy_sphere(1000),
+                              [20.0, 0, 0] + 0.01 * rng.standard_normal((40, 3))])
+    coincident = _noisy_sphere(500)
+    coincident[:20] = coincident[0]          # 20 points at one place
+    plane = np.zeros((300, 3))
+    plane[:, :2] = rng.standard_normal((300, 2))
+    line = np.zeros((300, 3))
+    line[:, 0] = rng.standard_normal(300)
+    return {"outliers": (outliers, 32), "far cluster": (cluster, 32),
+            "coincident": (coincident, 32), "plane": (plane, 16), "line": (line, 16),
+            "min_points": (rng.standard_normal((desk_config().min_points, 3)), 32),
+            "below patch size": (rng.standard_normal((20, 3)), 32)}
+
+
+@pytest.mark.parametrize("coverage", [1, 3])
+@pytest.mark.parametrize("name", list(_hostile_clouds()))
+def test_extract_patches_count_is_bounded(name, coverage):
+    pts, size = _hostile_clouds()[name]
+    n = len(pts)
+    patches = extract_patches(pts, size, coverage)
+    t = _prefix_size(n, size, coverage)
+    prefix = farthest_point_sample(pts, t)
+    held = np.zeros(n, dtype=bool)
+    held[knn_brute_force(pts, pts[prefix], min(size, n))[0]] = True
+    # P <= ceil(c N / S) + the points the farthest-point prefix leaves uncovered
+    assert t <= len(patches) <= t + (~held).sum(), (len(patches), t, (~held).sum())
+    counts = np.bincount(patches.members.ravel(), minlength=n)
+    assert counts.min() >= 1 and counts.sum() >= coverage * n
+
+
+def test_extract_patches_outliers_add_no_patches():
+    # the parent's walk made one patch per point here (1,024)
+    pts, _ = _hostile_clouds()["outliers"]
+    assert len(extract_patches(pts, 32, 3)) == 96
+
+
+def test_extract_patches_refuses_uncoverable_coincident_points():
+    # 40 points at one place: every neighbour query orders them by index,
+    # so the 8 of highest index are in no patch of 32
+    pts = np.random.default_rng(51).standard_normal((200, 3))
+    pts[:40] = pts[0]
+    with pytest.raises(DegenerateError, match="no patch of 32 points"):
+        extract_patches(pts, 32)
+    assert len(extract_patches(pts, 40)) >= 1
+
+
+@pytest.mark.parametrize("name", ["random", "lattice", "sphere"])
+def test_extract_patches_is_permutation_equivariant(name):
+    pts = _fps_fixture_clouds()[name]
+    perm = np.random.default_rng(52).permutation(len(pts))
+    for coverage in (1, 3):
+        base = extract_patches(pts, 12, coverage)
+        moved = extract_patches(pts[perm], 12, coverage)
+        assert np.array_equal(perm[moved.seeds], base.seeds)
+        assert np.array_equal(perm[moved.members], base.members)
+        assert np.array_equal(moved.local, base.local)
+
+
+def test_extract_patches_at_paper_scale():
+    # the noisy spheres of ROADMAP's cover table: 10k needs no residual
+    # patch; at 50k the parent's walk made one patch per point (50,000)
+    pts = _noisy_sphere(10_000)
+    patches = extract_patches(pts, 32, 3)
+    assert len(patches) == 938
+    assert np.bincount(patches.members.ravel(), minlength=len(pts)).min() >= 1
+    pts = _noisy_sphere(50_000)
+    patches = extract_patches(pts, 32, 3)
+    assert 4688 <= len(patches) <= 4704
+    assert np.bincount(patches.members.ravel(), minlength=len(pts)).min() >= 1
